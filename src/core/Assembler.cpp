@@ -443,20 +443,22 @@ void Assembler::sse(uint8_t Prefix, uint8_t Op, uint8_t RegOp, uint8_t Rm,
   modrm(3, RegOp & 7, Rm & 7);
 }
 
-void Assembler::movsdXM(Xmm D, Reg Base, int32_t Disp) {
-  byte(0xF2);
-  rex(false, D >> 3, 0, Base >> 3);
+void Assembler::sseMem(uint8_t Prefix, uint8_t Op, uint8_t RegOp, Reg Base,
+                       int32_t Disp) {
+  if (Prefix)
+    byte(Prefix);
+  rex(false, RegOp >> 3, 0, Base >> 3);
   byte(0x0F);
-  byte(0x10);
-  mem(D & 7, Base, Disp);
+  byte(Op);
+  mem(RegOp & 7, Base, Disp);
+}
+
+void Assembler::movsdXM(Xmm D, Reg Base, int32_t Disp) {
+  sseMem(0xF2, 0x10, D, Base, Disp);
 }
 
 void Assembler::movsdMX(Reg Base, int32_t Disp, Xmm S) {
-  byte(0xF2);
-  rex(false, S >> 3, 0, Base >> 3);
-  byte(0x0F);
-  byte(0x11);
-  mem(S & 7, Base, Disp);
+  sseMem(0xF2, 0x11, S, Base, Disp);
 }
 
 void Assembler::movqXR(Xmm D, Reg S) { sse(0x66, 0x6E, D, S, true); }
@@ -485,3 +487,38 @@ void Assembler::cvtsi2ss(Xmm D, Reg S) { sse(0xF3, 0x2A, D, S, true); }
 void Assembler::cvtsd2ss(Xmm D, Xmm S) { sse(0xF2, 0x5A, D, S, false); }
 void Assembler::cvtss2sd(Xmm D, Xmm S) { sse(0xF3, 0x5A, D, S, false); }
 void Assembler::xorpd(Xmm D, Xmm S) { sse(0x66, 0x57, D, S, false); }
+
+//===----------------------------------------------------------------------===//
+// SSE2 packed
+//===----------------------------------------------------------------------===//
+
+void Assembler::movupsXM(Xmm D, Reg Base, int32_t Disp) {
+  sseMem(0, 0x10, D, Base, Disp);
+}
+void Assembler::movupsMX(Reg Base, int32_t Disp, Xmm S) {
+  sseMem(0, 0x11, S, Base, Disp);
+}
+void Assembler::movssXM(Xmm D, Reg Base, int32_t Disp) {
+  sseMem(0xF3, 0x10, D, Base, Disp);
+}
+void Assembler::movssMX(Reg Base, int32_t Disp, Xmm S) {
+  sseMem(0xF3, 0x11, S, Base, Disp);
+}
+void Assembler::addps(Xmm D, Xmm S) { sse(0, 0x58, D, S, false); }
+void Assembler::subps(Xmm D, Xmm S) { sse(0, 0x5C, D, S, false); }
+void Assembler::mulps(Xmm D, Xmm S) { sse(0, 0x59, D, S, false); }
+void Assembler::divps(Xmm D, Xmm S) { sse(0, 0x5E, D, S, false); }
+void Assembler::minps(Xmm D, Xmm S) { sse(0, 0x5D, D, S, false); }
+void Assembler::maxps(Xmm D, Xmm S) { sse(0, 0x5F, D, S, false); }
+void Assembler::addpd(Xmm D, Xmm S) { sse(0x66, 0x58, D, S, false); }
+void Assembler::subpd(Xmm D, Xmm S) { sse(0x66, 0x5C, D, S, false); }
+void Assembler::mulpd(Xmm D, Xmm S) { sse(0x66, 0x59, D, S, false); }
+void Assembler::divpd(Xmm D, Xmm S) { sse(0x66, 0x5E, D, S, false); }
+void Assembler::minpd(Xmm D, Xmm S) { sse(0x66, 0x5D, D, S, false); }
+void Assembler::maxpd(Xmm D, Xmm S) { sse(0x66, 0x5F, D, S, false); }
+void Assembler::movlhps(Xmm D, Xmm S) { sse(0, 0x16, D, S, false); }
+
+void Assembler::shufps(Xmm D, Xmm S, uint8_t Imm) {
+  sse(0, 0xC6, D, S, false);
+  byte(Imm);
+}

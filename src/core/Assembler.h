@@ -2,9 +2,10 @@
 //
 // Just enough of an assembler for the baseline JIT (DESIGN.md §11): 64-bit
 // GPR moves/arithmetic, the SSE2 scalar float subset the bytecode ISA needs,
-// setcc/cmovcc, and rel32 labels with end-of-function fixup. Code is
-// appended to an in-memory byte vector; CodeBuffer owns making it
-// executable. No external dependencies.
+// the SSE2 packed subset its f32/f64 vector lane ops need, setcc/cmovcc,
+// and rel32 labels with end-of-function fixup. Code is appended to an
+// in-memory byte vector; CodeBuffer owns making it executable. No external
+// dependencies.
 //
 // Addressing discipline: every memory operand is [base + disp32]. The
 // encoder handles the rsp/r12 SIB quirk and the rbp/r13 disp quirk by
@@ -138,6 +139,26 @@ public:
   void cvtss2sd(Xmm D, Xmm S);
   void xorpd(Xmm D, Xmm S);
 
+  // SSE2 packed: 4 floats or 2 doubles per register; unaligned moves.
+  void movupsXM(Xmm D, Reg Base, int32_t Disp);
+  void movupsMX(Reg Base, int32_t Disp, Xmm S);
+  void movssXM(Xmm D, Reg Base, int32_t Disp);
+  void movssMX(Reg Base, int32_t Disp, Xmm S);
+  void addps(Xmm D, Xmm S);
+  void subps(Xmm D, Xmm S);
+  void mulps(Xmm D, Xmm S);
+  void divps(Xmm D, Xmm S);
+  void minps(Xmm D, Xmm S);
+  void maxps(Xmm D, Xmm S);
+  void addpd(Xmm D, Xmm S);
+  void subpd(Xmm D, Xmm S);
+  void mulpd(Xmm D, Xmm S);
+  void divpd(Xmm D, Xmm S);
+  void minpd(Xmm D, Xmm S);
+  void maxpd(Xmm D, Xmm S);
+  void shufps(Xmm D, Xmm S, uint8_t Imm);
+  void movlhps(Xmm D, Xmm S); ///< D.high64 = S.low64
+
 private:
   void byte(uint8_t B) { Buf.push_back(B); }
   void word32(int32_t V);
@@ -148,6 +169,9 @@ private:
   void mem(uint8_t RegOp, Reg Base, int32_t Disp);
   void rel32To(Label L);
   void sse(uint8_t Prefix, uint8_t Op, uint8_t RegOp, uint8_t Rm, bool W);
+  /// SSE op with a [Base + Disp32] memory operand.
+  void sseMem(uint8_t Prefix, uint8_t Op, uint8_t RegOp, Reg Base,
+              int32_t Disp);
 
   std::vector<uint8_t> Buf;
   std::vector<int64_t> Labels;                      ///< -1 = unbound.

@@ -11,10 +11,11 @@
 // counts loop back edges (the promotion profile signal, returned in rax),
 // and the four most-referenced virtual registers are pinned in r12-r15 with
 // their memory slots as spill homes. Everything that is not straight-line
-// arithmetic — calls, traps, function literals, memcpy — goes through the
-// extern "C" helpers below into the same VM routines the interpreter uses,
-// which is what keeps trap messages, source locations, and FFI dispatch
-// bit-identical across tiers.
+// arithmetic — calls, traps, function literals, large memcpy, and the
+// vector lane ops packed SSE2 does not cover — goes through the extern "C"
+// helpers below into the same VM routines the interpreter uses, which is
+// what keeps trap messages, source locations, FFI dispatch, and lane
+// results bit-identical across tiers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,7 @@
 #include "support/EnvParse.h"
 #include "support/Telemetry.h"
 
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -92,6 +94,16 @@ uint64_t terracppBaselineCall(const bytecode::Function *F, uint64_t Idx,
   return vm::execCallSite(*F, Idx, R, Frame, *Env) ? 1 : 0;
 }
 
+/// Runs lane op \p O on the operands the emitted code loaded from its
+/// slots. Returns 0 when an integer division lane traps.
+uint64_t terracppBaselineLaneOp(uint64_t O, int64_t Imm, void *Dst,
+                                uint64_t B, uint64_t C) {
+  Slot SB, SC;
+  SB.U = B;
+  SC.U = C;
+  return vm::execLaneOp(static_cast<Op>(O), Imm, Dst, SB, SC) ? 1 : 0;
+}
+
 uint64_t terracppBaselineTrap(const bytecode::Function *F, uint64_t Idx,
                               vm::ExecEnv *Env) {
   vm::execTrap(*F, Idx, *Env);
@@ -128,6 +140,8 @@ Shape shapeOf(Op O) {
   case Op::MaxI: case Op::MinU: case Op::MaxU: case Op::MinF: case Op::MaxF:
   case Op::MinF32: case Op::MaxF32: case Op::PtrAdd: case Op::PtrSub:
   case Op::PtrDiff: case Op::ShlI: case Op::ShrI: case Op::ShrU:
+  case Op::VAdd: case Op::VSub: case Op::VMul: case Op::VDiv: case Op::VMod:
+  case Op::VMin: case Op::VMax:
     return Shape::ABC;
   case Op::Mov: case Op::NegI: case Op::NegF: case Op::NegF32: case Op::NotB:
   case Op::WrapI8: case Op::WrapI16: case Op::WrapI32: case Op::WrapU8:
@@ -140,6 +154,7 @@ Shape shapeOf(Op O) {
   case Op::LdF32: case Op::LdF64: case Op::LdP: case Op::StI8:
   case Op::StI16: case Op::StI32: case Op::StI64: case Op::StF32:
   case Op::StF64: case Op::StP: case Op::MemCpy: case Op::PtrAddImm:
+  case Op::VSplat: case Op::VCast: case Op::VNeg:
     return Shape::AB;
   case Op::ConstI: case Op::ConstF: case Op::ConstF32: case Op::ConstP:
   case Op::FnLit: case Op::FrameAddr: case Op::MemZero: case Op::TrapIfNull:
@@ -178,6 +193,8 @@ private:
   /// gap; bigger activations bail to the VM, whose frames live on the heap.
   static constexpr uint32_t MaxStackBytes = 256u << 10;
   static constexpr int NumPinRegs = 4;
+  /// Largest f32/f64 vector whose lane ops are unrolled into packed SSE2.
+  static constexpr int32_t MaxPackedBytes = 256;
   static constexpr Reg PinRegs[NumPinRegs] = {R12, R13, R14, R15};
 
   bool layoutAndPin();
@@ -185,6 +202,7 @@ private:
   void emitEpilogue();
   bool emitParam(const bytecode::Function::Param &P, size_t Index);
   bool emitInsn(const Insn &I);
+  void emitLaneOp(const Insn &I);
   void emitTrapStubs();
 
   int pinOf(uint16_t VReg) const {
@@ -865,6 +883,11 @@ bool Emitter::emitInsn(const Insn &I) {
     A.leaRM(RAX, RAX, static_cast<int32_t>(I.Imm));
     storeSlot(I.A, RAX);
     return true;
+  case Op::VSplat: case Op::VCast: case Op::VAdd: case Op::VSub:
+  case Op::VMul: case Op::VDiv: case Op::VMod: case Op::VMin: case Op::VMax:
+  case Op::VNeg:
+    emitLaneOp(I);
+    return true;
   case Op::TrapIfNull:
   case Op::TrapIfZero:
     loadSlot(RAX, I.A);
@@ -970,6 +993,100 @@ bool Emitter::emitInsn(const Insn &I) {
     return true;
   }
   return false; // Future opcodes bail to the VM.
+}
+
+/// f32/f64 splat and arithmetic lower to packed SSE2, 16 bytes per step
+/// with scalar ops for a narrower tail; minps/maxps return their second
+/// operand on NaN, exactly the VM's `B < C ? B : C`. Every other lane op
+/// (integer lanes, casts, negation, vectors over MaxPackedBytes) calls
+/// vm::execLaneOp through terracppBaselineLaneOp, so no lane op ever makes
+/// a function bail to the VM.
+void Emitter::emitLaneOp(const Insn &I) {
+  VecShape S = VecShape::unpack(I.Imm);
+  bool F32 = S.Kind == PrimType::Float32;
+  bool Float = F32 || S.Kind == PrimType::Float64;
+  int32_t ES = F32 ? 4 : 8;
+  int32_t Bytes = Float ? S.Lanes * ES : 0;
+  bool Packed = Float && Bytes <= MaxPackedBytes && I.Code != Op::VCast &&
+                I.Code != Op::VNeg && I.Code != Op::VMod;
+  if (!Packed) {
+    A.movRI(RDI, static_cast<int64_t>(I.Code));
+    A.movRI(RSI, I.Imm);
+    loadSlot(RDX, I.A);
+    loadSlot(RCX, I.B);
+    loadSlot(R8, I.C);
+    callHelper(reinterpret_cast<const void *>(&terracppBaselineLaneOp));
+    if (!Float && (I.Code == Op::VDiv || I.Code == Op::VMod)) {
+      A.test32RR(RAX, RAX);
+      A.jcc(CC::E, trapLabel(S.Trap));
+    }
+    return;
+  }
+  loadSlot(RDX, I.A);
+  if (I.Code == Op::VSplat) {
+    loadSlotX(XMM0, I.B);
+    F32 ? A.shufps(XMM0, XMM0, 0) : A.movlhps(XMM0, XMM0);
+    int32_t Off = 0;
+    for (; Bytes - Off >= 16; Off += 16)
+      A.movupsMX(RDX, Off, XMM0);
+    for (; Off < Bytes; Off += ES)
+      F32 ? A.movssMX(RDX, Off, XMM0) : A.movsdMX(RDX, Off, XMM0);
+    return;
+  }
+  // {packed f32, packed f64, scalar f32, scalar f64} forms of the op.
+  using SseOp = void (Assembler::*)(Xmm, Xmm);
+  std::array<SseOp, 4> Arith;
+  switch (I.Code) {
+  case Op::VAdd:
+    Arith = {&Assembler::addps, &Assembler::addpd, &Assembler::addss,
+             &Assembler::addsd};
+    break;
+  case Op::VSub:
+    Arith = {&Assembler::subps, &Assembler::subpd, &Assembler::subss,
+             &Assembler::subsd};
+    break;
+  case Op::VMul:
+    Arith = {&Assembler::mulps, &Assembler::mulpd, &Assembler::mulss,
+             &Assembler::mulsd};
+    break;
+  case Op::VDiv:
+    Arith = {&Assembler::divps, &Assembler::divpd, &Assembler::divss,
+             &Assembler::divsd};
+    break;
+  case Op::VMin:
+    Arith = {&Assembler::minps, &Assembler::minpd, &Assembler::minss,
+             &Assembler::minsd};
+    break;
+  default:
+    Arith = {&Assembler::maxps, &Assembler::maxpd, &Assembler::maxss,
+             &Assembler::maxsd};
+    break;
+  }
+  loadSlot(RAX, I.B);
+  loadSlot(RCX, I.C);
+  // Each step reads both operands before it stores, so the destination may
+  // be an operand.
+  for (int32_t Off = 0; Off < Bytes;) {
+    bool Wide = Bytes - Off >= 16;
+    if (Wide) {
+      A.movupsXM(XMM0, RAX, Off);
+      A.movupsXM(XMM1, RCX, Off);
+    } else if (F32) {
+      A.movssXM(XMM0, RAX, Off);
+      A.movssXM(XMM1, RCX, Off);
+    } else {
+      A.movsdXM(XMM0, RAX, Off);
+      A.movsdXM(XMM1, RCX, Off);
+    }
+    (A.*Arith[(Wide ? 0 : 2) + (F32 ? 0 : 1)])(XMM0, XMM1);
+    if (Wide) {
+      A.movupsMX(RDX, Off, XMM0);
+      Off += 16;
+    } else {
+      F32 ? A.movssMX(RDX, Off, XMM0) : A.movsdMX(RDX, Off, XMM0);
+      Off += ES;
+    }
+  }
 }
 
 bool Emitter::emit() {

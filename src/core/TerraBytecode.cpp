@@ -16,6 +16,7 @@
 #include "core/TerraType.h"
 
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -75,6 +76,76 @@ RetKind retKindOf(const Type *T) {
   return RetKind::None;
 }
 
+/// True when evaluating \p E runs a call (the only expression that can
+/// write memory).
+bool hasCall(const TerraExpr *E) {
+  if (!E)
+    return false;
+  switch (E->kind()) {
+  case TerraNode::NK_Apply:
+    return true;
+  case TerraNode::NK_Select:
+    return hasCall(cast<SelectExpr>(E)->Base);
+  case TerraNode::NK_BinOp:
+    return hasCall(cast<BinOpExpr>(E)->LHS) ||
+           hasCall(cast<BinOpExpr>(E)->RHS);
+  case TerraNode::NK_UnOp:
+    return hasCall(cast<UnOpExpr>(E)->Operand);
+  case TerraNode::NK_Index:
+    return hasCall(cast<IndexExpr>(E)->Base) ||
+           hasCall(cast<IndexExpr>(E)->Idx);
+  case TerraNode::NK_Cast:
+    return hasCall(cast<CastExpr>(E)->Operand);
+  case TerraNode::NK_Constructor: {
+    const auto *C = cast<ConstructorExpr>(E);
+    for (unsigned I = 0; I != C->NumInits; ++I)
+      if (hasCall(C->Inits[I]))
+        return true;
+    return false;
+  }
+  case TerraNode::NK_Intrinsic: {
+    const auto *N = cast<IntrinsicExpr>(E);
+    for (unsigned I = 0; I != N->NumArgs; ++I)
+      if (hasCall(N->Args[I]))
+        return true;
+    return false;
+  }
+  default:
+    return false;
+  }
+}
+
+/// True when \p E computes a new vector value with a lane op (as opposed to
+/// naming one in memory, or returning one from a call).
+bool isVecOp(const TerraExpr *E) {
+  if (!E->Ty || !E->Ty->isVector())
+    return false;
+  switch (E->kind()) {
+  case TerraNode::NK_BinOp:
+    return true;
+  case TerraNode::NK_UnOp:
+    return cast<UnOpExpr>(E)->Op == UnOpKind::Neg;
+  case TerraNode::NK_Cast:
+    return cast<CastExpr>(E)->Operand->Ty != E->Ty;
+  case TerraNode::NK_Intrinsic:
+    return cast<IntrinsicExpr>(E)->IK == IntrinsicKind::Min ||
+           cast<IntrinsicExpr>(E)->IK == IntrinsicKind::Max;
+  default:
+    return false;
+  }
+}
+
+/// Lane kind and count of vector type \p T; false unless the lanes are an
+/// arithmetic primitive (bool vectors have no lane ops).
+bool vecShapeOf(const Type *T, VecShape &S) {
+  const auto *VT = dyn_cast<VectorType>(T);
+  if (!VT || !VT->element()->isArithmetic() || VT->length() > 0xFFFF)
+    return false;
+  S.Kind = static_cast<uint8_t>(cast<PrimType>(VT->element())->primKind());
+  S.Lanes = static_cast<uint16_t>(VT->length());
+  return true;
+}
+
 //===----------------------------------------------------------------------===//
 // Pre-pass: find locals, address-taken roots, and unsupported constructs
 //===----------------------------------------------------------------------===//
@@ -82,16 +153,15 @@ RetKind retKindOf(const Type *T) {
 struct Prepass {
   std::vector<std::pair<const TerraSymbol *, Type *>> Decls;
   std::set<const TerraSymbol *> AddrTaken;
-  bool Bailed = false;
+  BailReason Bailed = BailReason::None;
 
-  void bail() { Bailed = true; }
+  void bail(BailReason Why = BailReason::Other) {
+    if (Bailed == BailReason::None)
+      Bailed = Why;
+  }
 
   void declare(const TerraSymbol *S) {
     if (!S || !S->DeclaredType) {
-      bail();
-      return;
-    }
-    if (S->DeclaredType->isVector()) {
       bail();
       return;
     }
@@ -129,12 +199,8 @@ struct Prepass {
   }
 
   void walkExpr(const TerraExpr *E) {
-    if (!E || Bailed)
+    if (!E || Bailed != BailReason::None)
       return;
-    if (E->Ty && E->Ty->isVector()) {
-      bail();
-      return;
-    }
     switch (E->kind()) {
     case TerraNode::NK_Lit:
     case TerraNode::NK_Var:
@@ -146,8 +212,12 @@ struct Prepass {
       return;
     case TerraNode::NK_Apply: {
       const auto *A = cast<ApplyExpr>(E);
-      if (!isa<FuncLitExpr>(A->Callee) || A->NumArgs > MaxCallArgs) {
-        bail(); // Indirect call: tree-walker territory.
+      if (!isa<FuncLitExpr>(A->Callee)) {
+        bail(BailReason::IndirectCall); // Tree-walker territory.
+        return;
+      }
+      if (A->NumArgs > MaxCallArgs) {
+        bail(BailReason::WideCall);
         return;
       }
       for (unsigned I = 0; I != A->NumArgs; ++I)
@@ -195,7 +265,7 @@ struct Prepass {
   }
 
   void walkStmt(const TerraStmt *S) {
-    if (!S || Bailed)
+    if (!S || Bailed != BailReason::None)
       return;
     switch (S->kind()) {
     case TerraNode::NK_Block: {
@@ -282,12 +352,14 @@ public:
   BCCompiler(TerraContext &Ctx, const TerraFunction *F) : Ctx(Ctx), Src(F) {}
 
   std::shared_ptr<const Function> run();
+  BailReason bailReason() const { return Why; }
 
 private:
   TerraContext &Ctx;
   const TerraFunction *Src;
   Function Out;
   bool Bailed = false;
+  BailReason Why = BailReason::None;
 
   std::map<const TerraSymbol *, LocalInfo> Locals;
   uint16_t PersistentRegs = 0;
@@ -295,7 +367,9 @@ private:
   uint32_t FrameTop = 0, FrameMax = 0;
   std::vector<std::vector<size_t>> BreakStack;
 
-  int bail() {
+  int bail(BailReason R = BailReason::Other) {
+    if (!Bailed)
+      Why = R;
     Bailed = true;
     return -1;
   }
@@ -367,6 +441,14 @@ private:
   int compileCall(const ApplyExpr *A);
   int compileBinOp(const BinOpExpr *B, const TerraExpr *E);
   int compileCast(const CastExpr *C);
+  /// Converts the canonical scalar in \p Srv from \p From to \p To.
+  int convertScalar(int Srv, Type *From, Type *To);
+  /// Emits the lane op computing vector expression \p E (isVecOp) into the
+  /// vector at address register \p DstAddr.
+  bool compileVecOpInto(const TerraExpr *E, int DstAddr);
+  /// Address of vector operand \p E, copied to scratch when evaluating the
+  /// sibling operand \p Later could write through an lvalue \p E names.
+  int compileVecOperand(const TerraExpr *E, const TerraExpr *Later);
   bool storeToLValue(const TerraExpr *L, int Val);
   bool compileStmt(const TerraStmt *S);
   bool compileBlock(const BlockStmt *B);
@@ -585,6 +667,14 @@ int BCCompiler::compileAddr(const TerraExpr *E) {
 int BCCompiler::compileAggValue(const TerraExpr *E) {
   if (Bailed)
     return -1;
+  if (isVecOp(E)) {
+    uint32_t Off = allocScratch(E->Ty->size());
+    int A = tempReg();
+    if (A < 0 || Bailed)
+      return -1;
+    emit(Op::FrameAddr, static_cast<uint16_t>(A), 0, 0, Off);
+    return compileVecOpInto(E, A) ? A : -1;
+  }
   switch (E->kind()) {
   case TerraNode::NK_Constructor: {
     uint32_t Off = allocScratch(E->Ty->size());
@@ -619,6 +709,8 @@ bool BCCompiler::compileAggInto(const TerraExpr *E, int DstAddr,
                                 const Type *Ty) {
   if (DstAddr < 0 || Bailed)
     return false;
+  if (isVecOp(E))
+    return compileVecOpInto(E, DstAddr);
   if (const auto *C = dyn_cast<ConstructorExpr>(E)) {
     const auto *ST = dyn_cast<StructType>(C->Ty);
     if (!ST)
@@ -656,6 +748,110 @@ bool BCCompiler::compileAggInto(const TerraExpr *E, int DstAddr,
     return false;
   emit(Op::MemCpy, static_cast<uint16_t>(DstAddr),
        static_cast<uint16_t>(Srv), 0, static_cast<int64_t>(Ty->size()));
+  return true;
+}
+
+//===----------------------------------------------------------------------===//
+// Vectors
+//===----------------------------------------------------------------------===//
+
+int BCCompiler::compileVecOperand(const TerraExpr *E, const TerraExpr *Later) {
+  int A = compileAggValue(E);
+  if (A < 0 || isVecOp(E) || !hasCall(Later))
+    return A;
+  // The tree-walker reads the operand before the call runs.
+  uint32_t Off = allocScratch(E->Ty->size());
+  int T = tempReg();
+  if (T < 0 || Bailed)
+    return -1;
+  emit(Op::FrameAddr, static_cast<uint16_t>(T), 0, 0, Off);
+  emit(Op::MemCpy, static_cast<uint16_t>(T), static_cast<uint16_t>(A), 0,
+       static_cast<int64_t>(E->Ty->size()));
+  return T;
+}
+
+bool BCCompiler::compileVecOpInto(const TerraExpr *E, int DstAddr) {
+  VecShape S;
+  if (!vecShapeOf(E->Ty, S))
+    return bail(BailReason::Vector) >= 0;
+  uint16_t D = static_cast<uint16_t>(DstAddr);
+  if (const auto *C = dyn_cast<CastExpr>(E)) {
+    Type *From = C->Operand->Ty;
+    if (From->isVector()) {
+      VecShape FS;
+      if (!vecShapeOf(From, FS) || FS.Lanes != S.Lanes)
+        return bail(BailReason::Vector) >= 0;
+      int Src = compileAggValue(C->Operand);
+      if (Src < 0)
+        return false;
+      S.SrcKind = FS.Kind;
+      emit(Op::VCast, D, static_cast<uint16_t>(Src), 0, S.pack());
+      return true;
+    }
+    // Broadcast: convert the scalar to the lane type once, then splat.
+    int V = compileScalar(C->Operand);
+    if (V < 0)
+      return false;
+    int L = convertScalar(V, From, cast<VectorType>(E->Ty)->element());
+    if (L < 0)
+      return false;
+    emit(Op::VSplat, D, static_cast<uint16_t>(L), 0, S.pack());
+    return true;
+  }
+  if (const auto *U = dyn_cast<UnOpExpr>(E)) {
+    int Src = compileAggValue(U->Operand);
+    if (Src < 0)
+      return false;
+    emit(Op::VNeg, D, static_cast<uint16_t>(Src), 0, S.pack());
+    return true;
+  }
+  const TerraExpr *L, *R;
+  Op O;
+  bool IntLanes = !isFloatPK(static_cast<PrimType::PrimKind>(S.Kind));
+  if (const auto *N = dyn_cast<IntrinsicExpr>(E)) {
+    if (N->NumArgs != 2)
+      return bail(BailReason::Vector) >= 0;
+    L = N->Args[0];
+    R = N->Args[1];
+    O = N->IK == IntrinsicKind::Min ? Op::VMin : Op::VMax;
+  } else {
+    const auto *B = cast<BinOpExpr>(E);
+    L = B->LHS;
+    R = B->RHS;
+    switch (B->Op) {
+    case BinOpKind::Add:
+      O = Op::VAdd;
+      break;
+    case BinOpKind::Sub:
+      O = Op::VSub;
+      break;
+    case BinOpKind::Mul:
+      O = Op::VMul;
+      break;
+    case BinOpKind::Div:
+      O = Op::VDiv;
+      if (IntLanes)
+        S.Trap = static_cast<uint32_t>(
+            trapIdx("integer division by zero", E->loc()));
+      break;
+    case BinOpKind::Mod:
+      if (!IntLanes)
+        return bail(BailReason::Vector) >= 0;
+      O = Op::VMod;
+      S.Trap =
+          static_cast<uint32_t>(trapIdx("integer modulo by zero", E->loc()));
+      break;
+    default:
+      return bail(BailReason::Vector) >= 0;
+    }
+  }
+  if (L->Ty != E->Ty || R->Ty != E->Ty)
+    return bail(BailReason::Vector) >= 0;
+  int LA = compileVecOperand(L, R);
+  int RA = LA < 0 ? -1 : compileAggValue(R);
+  if (RA < 0)
+    return false;
+  emit(O, D, static_cast<uint16_t>(LA), static_cast<uint16_t>(RA), S.pack());
   return true;
 }
 
@@ -917,32 +1113,33 @@ int BCCompiler::compileCast(const CastExpr *C) {
     return bail();
   if (From->isArray() && To->isPointer())
     return compileAddr(C->Operand);
+  int Srv = compileScalar(C->Operand);
+  if (Srv < 0)
+    return -1;
+  return convertScalar(Srv, From, To);
+}
+
+int BCCompiler::convertScalar(int Srv, Type *From, Type *To) {
   if (From == To)
-    return compileScalar(C->Operand);
+    return Srv;
   if ((From->isPointer() || From->isFunction()) &&
       (To->isPointer() || To->isFunction()))
-    return compileScalar(C->Operand);
+    return Srv;
   if (From->isPointer() && To->isIntegral()) {
-    int V = compileScalar(C->Operand);
-    if (V < 0)
-      return -1;
     int Dst = tempReg();
     if (Dst < 0)
       return -1;
-    emitWrapTo(cast<PrimType>(To)->primKind(), Dst, V);
+    emitWrapTo(cast<PrimType>(To)->primKind(), Dst, Srv);
     return Dst;
   }
   if (From->isIntegral() && To->isPointer())
-    return compileScalar(C->Operand); // Canonical int64 bits are the pointer.
+    return Srv; // Canonical int64 bits are the pointer.
 
   const auto *PF = dyn_cast<PrimType>(From);
   const auto *PT = dyn_cast<PrimType>(To);
   if (!PF || !PT)
     return bail();
   PrimType::PrimKind FK = PF->primKind(), TK = PT->primKind();
-  int Srv = compileScalar(C->Operand);
-  if (Srv < 0)
-    return -1;
   uint16_t S = static_cast<uint16_t>(Srv);
 
   if (PF->isIntegralPrim() || FK == PrimType::Bool) {
@@ -1379,6 +1576,14 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
       bool Scalar;
       int Reg;
     };
+    const TerraExpr *R0 = A->RHS[0];
+    if (A->NumLHS == 1 && isVecOp(R0) && isa<VarExpr>(A->LHS[0])) {
+      // A lane op into one local vector writes it in place, with no
+      // parallel temp: lanes alias only lane-for-lane, and every operand is
+      // evaluated before the op stores.
+      int Addr = compileAddr(A->LHS[0]);
+      return Addr >= 0 && compileVecOpInto(R0, Addr);
+    }
     std::vector<RV> Vals;
     for (unsigned I = 0; I != A->NumRHS; ++I) {
       const TerraExpr *R = A->RHS[I];
@@ -1571,17 +1776,23 @@ bool BCCompiler::compileStmt(const TerraStmt *S) {
 //===----------------------------------------------------------------------===//
 
 std::shared_ptr<const Function> BCCompiler::run() {
-  if (!Src->Body || !Src->FnTy || Src->IsExtern || Src->HostClosure)
+  if (!Src->Body || !Src->FnTy || Src->IsExtern || Src->HostClosure) {
+    bail();
     return nullptr;
-  if (Src->NumParams > MaxCallArgs)
+  }
+  if (Src->NumParams > MaxCallArgs) {
+    bail(BailReason::WideCall);
     return nullptr;
+  }
 
   Prepass Pre;
   for (unsigned I = 0; I != Src->NumParams; ++I)
     Pre.declare(Src->Params[I]);
   Pre.walkStmt(Src->Body);
-  if (Pre.Bailed)
+  if (Pre.Bailed != BailReason::None) {
+    bail(Pre.Bailed);
     return nullptr;
+  }
 
   // Assign storage: scalars that never have their address taken live in
   // registers; everything else lives in the byte-addressed frame.
@@ -1591,8 +1802,10 @@ std::shared_ptr<const Function> BCCompiler::run() {
     LocalInfo L;
     L.Ty = D.second;
     if (isScalarTy(D.second) && !Pre.AddrTaken.count(D.first)) {
-      if (PersistentRegs >= 4000)
+      if (PersistentRegs >= 4000) {
+        bail();
         return nullptr;
+      }
       L.Reg = PersistentRegs++;
     } else {
       L.InFrame = true;
@@ -1659,9 +1872,13 @@ const char *opName(Op O) {
 }
 
 std::shared_ptr<const Function> compile(TerraContext &Ctx,
-                                        const TerraFunction *F) {
+                                        const TerraFunction *F,
+                                        BailReason *Why) {
   BCCompiler C(Ctx, F);
-  return C.run();
+  std::shared_ptr<const Function> Out = C.run();
+  if (Why)
+    *Why = Out ? BailReason::None : C.bailReason();
+  return Out;
 }
 
 std::string disassemble(const Function &F) {
@@ -1682,6 +1899,23 @@ std::string disassemble(const Function &F) {
          In.Code == Op::TrapIfZero || In.Code == Op::TrapIfShiftGE) &&
         static_cast<size_t>(In.Imm) < F.Traps.size())
       OS << " ; \"" << F.Traps[In.Imm].first << "\"";
+    if (In.Code >= Op::VSplat && In.Code <= Op::VNeg) {
+      VecShape S = VecShape::unpack(In.Imm);
+      auto Kind = [](uint8_t K) {
+        // Spelled as TypeContext names the primitives, in PrimKind order.
+        static const char *Names[] = {"void",   "bool",   "int8",  "int16",
+                                      "int32",  "int64",  "uint8", "uint16",
+                                      "uint32", "uint64", "float", "double"};
+        return K < std::size(Names) ? Names[K] : "?";
+      };
+      OS << " ; vector(" << Kind(S.Kind) << "," << S.Lanes << ")";
+      if (In.Code == Op::VCast)
+        OS << " from " << Kind(S.SrcKind);
+      if ((In.Code == Op::VDiv || In.Code == Op::VMod) &&
+          !isFloatPK(static_cast<PrimType::PrimKind>(S.Kind)) &&
+          S.Trap < F.Traps.size())
+        OS << " \"" << F.Traps[S.Trap].first << "\"";
+    }
     OS << "\n";
   }
   return OS.str();

@@ -18,10 +18,14 @@
 //                        the plain interp backend, or the promoted machine
 //                        address under tiered execution — see Op::FnLit)
 //
-// The compiler is deliberately partial: functions using vector types or
-// indirect calls (callee is a runtime value rather than a function literal)
-// return null from compile() and fall back to the tree-walker, so coverage
-// gaps cost speed, never correctness.
+// Vector values (vector(T,N)) live in the frame like aggregates: a vector
+// expression evaluates to the address of its lanes, and the V* lane ops read
+// and write whole vectors memory-to-memory.
+//
+// The compiler is deliberately partial: functions with indirect calls
+// (callee is a runtime value rather than a function literal) or calls with
+// more than MaxCallArgs arguments return null from compile() and fall back
+// to the tree-walker, so coverage gaps cost speed, never correctness.
 //
 //===----------------------------------------------------------------------===//
 
@@ -167,6 +171,20 @@ union Slot {
   X(PtrSub)     /* r[A].P = r[B].P - r[C].I * Imm */                          \
   X(PtrDiff)    /* r[A].I = (r[B].P - r[C].P) / Imm */                        \
   X(PtrAddImm)  /* r[A].P = r[B].P + Imm (field offsets) */                    \
+  X(VSplat)     /* every lane of vector *r[A].P = r[B] (canonical scalar of   \
+                   the lane kind); Imm = VecShape */                         \
+  X(VCast)      /* lanes of *r[A].P = lanes of *r[B].P converted from        \
+                   VecShape::SrcKind to VecShape::Kind */                    \
+  X(VAdd)       /* *r[A].P = *r[B].P + *r[C].P lane-wise (integer lanes      \
+                   wrap); Imm = VecShape */                                  \
+  X(VSub)       /* ... - ... */                                               \
+  X(VMul)       /* ... * ... */                                               \
+  X(VDiv)       /* ... / ...; integer lanes trap[VecShape::Trap] on a zero   \
+                   divisor lane */                                           \
+  X(VMod)       /* ... % ... (integer lanes only; traps as VDiv) */           \
+  X(VMin)       /* lane-wise B < C ? B : C (integer lanes compare signed) */  \
+  X(VMax)       /* lane-wise B > C ? B : C */                                 \
+  X(VNeg)       /* *r[A].P = -*r[B].P lane-wise */                            \
   X(TrapIfNull) /* if (!r[A].P) trap[Imm] */                                  \
   X(TrapIfZero) /* if (!r[A].I) trap[Imm] (div/mod guard, for-loop step) */   \
   X(TrapIfShiftGE) /* if (r[A].U >= B) trap[Imm] (B = type bit width) */      \
@@ -199,6 +217,39 @@ const char *opName(Op O);
 /// Upper bound on call-site arguments the VM stages on its stack; the
 /// compiler bails out (tree-walker fallback) beyond this.
 constexpr unsigned MaxCallArgs = 32;
+
+/// Operand shape of a V* lane op, packed into Insn::Imm: the lane kind
+/// (a PrimType::PrimKind) and count of the result, the source lane kind of
+/// a VCast, and the trap an integer VDiv/VMod reports on a zero divisor.
+struct VecShape {
+  uint8_t Kind = 0;
+  uint8_t SrcKind = 0;
+  uint16_t Lanes = 0;
+  uint32_t Trap = 0;
+
+  int64_t pack() const {
+    return static_cast<int64_t>(uint64_t(Kind) | uint64_t(SrcKind) << 8 |
+                                uint64_t(Lanes) << 16 | uint64_t(Trap) << 32);
+  }
+  static VecShape unpack(int64_t Imm) {
+    uint64_t U = static_cast<uint64_t>(Imm);
+    VecShape S;
+    S.Kind = static_cast<uint8_t>(U);
+    S.SrcKind = static_cast<uint8_t>(U >> 8);
+    S.Lanes = static_cast<uint16_t>(U >> 16);
+    S.Trap = static_cast<uint32_t>(U >> 32);
+    return S;
+  }
+};
+
+/// Why compile() rejected a function (bytecode.bailouts.* metrics).
+enum class BailReason : uint8_t {
+  None,
+  Vector,       ///< A vector construct the lane ops do not model.
+  IndirectCall, ///< Callee is a runtime function value.
+  WideCall,     ///< More than MaxCallArgs arguments or parameters.
+  Other,
+};
 
 /// Fixed-width instruction. 16 bytes; the whole program is one contiguous
 /// std::vector<Insn> with no per-op heap allocation.
@@ -265,10 +316,11 @@ struct Function {
 
 /// Compiles a typechecked, midend-run function to bytecode. Returns null
 /// when the function uses a construct the bytecode engine does not model
-/// (vectors, indirect calls, >32 call arguments); the caller falls back to
-/// the tree-walker. Never reports diagnostics.
+/// (indirect calls, >32 call arguments) and stores the reason in \p Why;
+/// the caller falls back to the tree-walker. Never reports diagnostics.
 std::shared_ptr<const Function> compile(TerraContext &Ctx,
-                                        const TerraFunction *F);
+                                        const TerraFunction *F,
+                                        BailReason *Why = nullptr);
 
 /// Human-readable disassembly (tests, --dump-bytecode debugging).
 std::string disassemble(const Function &F);

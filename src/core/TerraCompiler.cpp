@@ -4,7 +4,6 @@
 #include "core/CBackend.h"
 #include "core/LuaInterp.h"
 #include "core/TerraBaselineJIT.h"
-#include "core/TerraBytecode.h"
 #include "core/TerraInterpBackend.h"
 #include "core/TerraVM.h"
 #include "core/TerraPasses.h"
@@ -166,8 +165,7 @@ void TerraCompiler::installTier0(std::string Source, bool Cacheable,
                                  const std::vector<TerraFunction *> &Component) {
   Tiers->registerComponent(std::move(Source), Cacheable, Component);
   for (TerraFunction *Fn : Component) {
-    if (!Fn->Bytecode && !Fn->HostClosure)
-      Fn->Bytecode = bytecode::compile(Ctx, Fn);
+    InterpBackend->compileBytecode(Fn);
     if (Fn->Entry || !Fn->Tier)
       continue; // dispatcher already installed, or pre-tiering native code
     std::shared_ptr<TierState> TS = Fn->Tier;
@@ -176,8 +174,12 @@ void TerraCompiler::installTier0(std::string Source, bool Cacheable,
     Fn->Entry = [Self, FnP, TS](void **Args, void *Ret) {
       // Acquire pairs with the promotion job's release store: a non-null
       // entry implies the dlopen'd code behind it is fully visible.
+      // Only the outermost activation records its tier (see
+      // TerraInterpBackend::execute).
+      bool Outermost = vm::callDepth() == 0;
       if (void *NE = TS->NativeEntry.load(std::memory_order_acquire)) {
-        Self->LastCallTier.store(1, std::memory_order_relaxed);
+        if (Outermost)
+          Self->LastCallTier.store(1, std::memory_order_relaxed);
         Self->Tiers->noteTier1Call();
         reinterpret_cast<void (*)(void **, void *)>(NE)(Args, Ret);
         return;
@@ -186,7 +188,8 @@ void TerraCompiler::installTier0(std::string Source, bool Cacheable,
       // counts as a pre-native call so promotion thresholds keep firing.
       if (Self->Baseline) {
         if (BaselineJIT::Fn BE = Self->Baseline->entryFor(FnP)) {
-          Self->LastCallTier.store(2, std::memory_order_relaxed);
+          if (Outermost)
+            Self->LastCallTier.store(2, std::memory_order_relaxed);
           Self->Tiers->noteBaselineCall(*TS);
           vm::ExecEnv Env(Self->Ctx, *Self);
           // Recursion through tiered callees re-enters this thunk with a
@@ -202,7 +205,6 @@ void TerraCompiler::installTier0(std::string Source, bool Cacheable,
           return;
         }
       }
-      Self->LastCallTier.store(0, std::memory_order_relaxed);
       Self->Tiers->noteTier0Call(*TS);
       uint64_t BackEdges = 0;
       Self->InterpBackend->execute(FnP, Args, Ret, &BackEdges);

@@ -36,10 +36,12 @@ size_t PrimSizeOf(PrimType::PrimKind PK) {
 
 class TEval {
 public:
-  TEval(TerraContext &Ctx, TerraCompiler &Comp) : Ctx(Ctx), Comp(Comp) {}
+  TEval(TerraContext &Ctx, TerraCompiler &Comp, telemetry::Counter &Calls)
+      : Ctx(Ctx), Comp(Comp), Calls(Calls) {}
 
   TerraContext &Ctx;
   TerraCompiler &Comp;
+  telemetry::Counter &Calls; ///< interp.tree_calls
   bool Failed = false;
 
   struct Frame {
@@ -112,6 +114,7 @@ bool TEval::runFunction(const TerraFunction *F, void **Args, void *Ret) {
   if (Depth > 400)
     return fail(SourceLoc(), "terra call stack overflow in interpreter");
   ++Depth;
+  Calls.inc();
   Frame NewFrame;
   Frame *SavedFrame = Cur;
   void *SavedRet = RetSlot;
@@ -918,7 +921,12 @@ TerraInterpBackend::TerraInterpBackend(TerraContext &Ctx,
                                        TerraCompiler &Compiler)
     : Ctx(Ctx), Compiler(Compiler),
       MDispatchUs(Compiler.jit().metrics().histogram("vm.dispatch_us")),
-      MBackEdges(Compiler.jit().metrics().counter("vm.backedges")) {
+      MBackEdges(Compiler.jit().metrics().counter("vm.backedges")),
+      MTreeCalls(Compiler.jit().metrics().counter("interp.tree_calls")) {
+  const char *Reasons[] = {"vector", "indirect_call", "wide_call", "other"};
+  for (int I = 0; I != 4; ++I)
+    MBailouts[I] = &Compiler.jit().metrics().counter(
+        std::string("bytecode.bailouts.") + Reasons[I]);
   const char *E = std::getenv("TERRACPP_INTERP");
   ForceTree = E && std::string(E) == "tree";
 }
@@ -931,11 +939,17 @@ bool TerraInterpBackend::execute(const TerraFunction *F, void **Args,
   // run. (Reached when a closure lands in a tiered component.)
   if (F->HostClosure)
     return Compiler.invokeHostClosure(F->HostClosureId, Args, Ret);
+  // Only an activation no guest frame encloses speaks for the host call;
+  // nested dispatches (a VM caller reaching a callee's Entry) must not
+  // overwrite the outer tier.
+  bool Outermost = vm::callDepth() == 0;
   if (!ForceTree && F->Bytecode) {
     // Tier 0.5: baseline machine code when available; same ExecEnv
     // contract, same telemetry stream as the VM.
     if (BaselineJIT *BJ = Compiler.baseline()) {
       if (BaselineJIT::Fn Entry = BJ->entryFor(const_cast<TerraFunction *>(F))) {
+        if (Outermost)
+          Compiler.noteLastCallTier(2);
         vm::ExecEnv Env(Ctx, Compiler);
         // The emitted frame lives on the native stack: charge the shared
         // depth budget before entering machine code.
@@ -953,10 +967,11 @@ bool TerraInterpBackend::execute(const TerraFunction *F, void **Args,
           if (BackEdges)
             *BackEdges = Edges;
         }
-        Compiler.noteLastCallTier(2);
         return !Env.Failed;
       }
     }
+    if (Outermost)
+      Compiler.noteLastCallTier(0);
     vm::ExecEnv Env(Ctx, Compiler);
     bool OK;
     {
@@ -970,13 +985,23 @@ bool TerraInterpBackend::execute(const TerraFunction *F, void **Args,
     }
     return OK;
   }
-  TEval Eval(Ctx, Compiler);
+  if (Outermost)
+    Compiler.noteLastCallTier(0);
+  TEval Eval(Ctx, Compiler, MTreeCalls);
   return Eval.runFunction(F, Args, Ret);
 }
 
+void TerraInterpBackend::compileBytecode(TerraFunction *F) {
+  if (F->Bytecode || F->HostClosure || F->IsExtern || !F->Body)
+    return;
+  bytecode::BailReason Why;
+  F->Bytecode = bytecode::compile(Ctx, F, &Why);
+  if (Why != bytecode::BailReason::None)
+    MBailouts[static_cast<int>(Why) - 1]->inc();
+}
+
 bool TerraInterpBackend::prepare(TerraFunction *F) {
-  if (!F->Bytecode)
-    F->Bytecode = bytecode::compile(Ctx, F);
+  compileBytecode(F);
   if (F->Entry)
     return true;
   TerraInterpBackend *Self = this;

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <memory>
+#include <type_traits>
 
 // Computed-goto dispatch wants the GCC/Clang labels-as-values extension;
 // everything else falls back to a for/switch loop with identical handlers.
@@ -181,6 +182,117 @@ void writeRet(const Function &F, const Slot &V, void *Ret) {
   case RetKind::Agg:
     memcpy(Ret, V.P, F.RetBytes);
     return;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Vector lane ops
+//===----------------------------------------------------------------------===//
+
+/// Lane-wise arithmetic over \p N lanes of T. Each lane is read before it is
+/// written, so Dst may be B or C itself. Integer lanes wrap (division too)
+/// and min/max compare them as signed int64, like the scalar ops; division
+/// checks every divisor lane before writing any.
+template <typename T>
+bool laneArith(Op O, unsigned N, uint8_t *D, const uint8_t *B,
+               const uint8_t *C) {
+  constexpr bool Float = std::is_floating_point_v<T>;
+  using U = uint64_t;
+  using W = std::conditional_t<std::is_signed_v<T>, int64_t, uint64_t>;
+  auto Each = [&](auto Fn) {
+    for (unsigned I = 0; I != N; ++I) {
+      size_t Off = I * sizeof(T);
+      st<T>(D + Off, Fn(ld<T>(B + Off), ld<T>(C + Off)));
+    }
+  };
+  auto Key = [](T X) {
+    if constexpr (Float)
+      return X;
+    else
+      return static_cast<int64_t>(X);
+  };
+  switch (O) {
+  case Op::VAdd:
+    if constexpr (Float)
+      Each([](T X, T Y) { return X + Y; });
+    else
+      Each([](T X, T Y) { return static_cast<T>(U(X) + U(Y)); });
+    return true;
+  case Op::VSub:
+    if constexpr (Float)
+      Each([](T X, T Y) { return X - Y; });
+    else
+      Each([](T X, T Y) { return static_cast<T>(U(X) - U(Y)); });
+    return true;
+  case Op::VMul:
+    if constexpr (Float)
+      Each([](T X, T Y) { return X * Y; });
+    else
+      Each([](T X, T Y) { return static_cast<T>(U(X) * U(Y)); });
+    return true;
+  case Op::VDiv:
+  case Op::VMod:
+    if constexpr (Float) {
+      Each([](T X, T Y) { return X / Y; }); // The compiler emits no float VMod.
+    } else {
+      for (unsigned I = 0; I != N; ++I)
+        if (ld<T>(C + I * sizeof(T)) == 0)
+          return false;
+      // x / -1 wraps (INT64_MIN / -1 would overflow the int64 divide).
+      constexpr bool Signed = std::is_signed_v<T>;
+      if (O == Op::VDiv)
+        Each([](T X, T Y) {
+          return Signed && Y == T(-1) ? static_cast<T>(U(0) - U(X))
+                                      : static_cast<T>(W(X) / W(Y));
+        });
+      else
+        Each([](T X, T Y) {
+          return Signed && Y == T(-1) ? T(0) : static_cast<T>(W(X) % W(Y));
+        });
+    }
+    return true;
+  case Op::VMin:
+    Each([&](T X, T Y) { return Key(X) < Key(Y) ? X : Y; });
+    return true;
+  case Op::VMax:
+    Each([&](T X, T Y) { return Key(X) > Key(Y) ? X : Y; });
+    return true;
+  case Op::VNeg:
+    for (unsigned I = 0; I != N; ++I) {
+      T X = ld<T>(B + I * sizeof(T));
+      if constexpr (Float)
+        st<T>(D + I * sizeof(T), -X);
+      else
+        st<T>(D + I * sizeof(T), static_cast<T>(U(0) - U(X)));
+    }
+    return true;
+  default:
+    return true;
+  }
+}
+
+/// VCast: converts each lane as the scalar casts do (integer targets
+/// truncate, float sources convert through double). Walks the lanes in the
+/// direction that lets a widening or narrowing cast run in place.
+void castLanes(PrimType::PrimKind To, PrimType::PrimKind From, unsigned N,
+               uint8_t *D, const uint8_t *S) {
+  using namespace interpruntime;
+  size_t ED = primSizeOf(To), ES = primSizeOf(From);
+  bool FloatFrom = From == PrimType::Float32 || From == PrimType::Float64;
+  bool FloatTo = To == PrimType::Float32 || To == PrimType::Float64;
+  for (unsigned K = 0; K != N; ++K) {
+    unsigned I = ED > ES ? N - 1 - K : K;
+    uint8_t *Out = D + I * ED;
+    const uint8_t *In = S + I * ES;
+    if (FloatFrom) {
+      storeFromDouble(To, Out, loadAsDouble(From, In));
+      continue;
+    }
+    int64_t V = loadAsInt(From, In);
+    if (FloatTo)
+      storeFromInt(To, Out, V);
+    else
+      memcpy(Out, &V, ED); // Little-endian truncation, as the Wrap ops.
   }
 }
 
@@ -571,6 +683,13 @@ next_insn:
       static_cast<uint8_t *>(R[pc->B].P) + pc->Imm;
   VM_NEXT;
 
+  VM_CASE(VSplat) : VM_CASE(VCast) : VM_CASE(VAdd) : VM_CASE(VSub)
+      : VM_CASE(VMul) : VM_CASE(VDiv) : VM_CASE(VMod) : VM_CASE(VMin)
+      : VM_CASE(VMax) : VM_CASE(VNeg)
+      : if (!vm::execLaneOp(pc->Code, pc->Imm, R[pc->A].P, R[pc->B],
+                             R[pc->C])) VM_TRAP(VecShape::unpack(pc->Imm).Trap);
+  VM_NEXT;
+
   VM_CASE(TrapIfNull) : if (!R[pc->A].P) VM_TRAP(pc->Imm);
   VM_NEXT;
   VM_CASE(TrapIfZero) : if (R[pc->A].I == 0) VM_TRAP(pc->Imm);
@@ -647,6 +766,49 @@ bool execCallSite(const bytecode::Function &F, uint64_t Idx,
 void execTrap(const bytecode::Function &F, uint64_t Idx, ExecEnv &Env) {
   const auto &T = F.Traps[static_cast<size_t>(Idx)];
   fail(Env, T.second, T.first);
+}
+
+bool execLaneOp(bytecode::Op O, int64_t Imm, void *Dst, bytecode::Slot B,
+                bytecode::Slot C) {
+  VecShape S = VecShape::unpack(Imm);
+  auto K = static_cast<PrimType::PrimKind>(S.Kind);
+  auto *D = static_cast<uint8_t *>(Dst);
+  if (O == Op::VSplat) {
+    size_t ES = interpruntime::primSizeOf(K);
+    for (unsigned I = 0; I != S.Lanes; ++I)
+      memcpy(D + I * ES, &B, ES); // The canonical slot's low bytes.
+    return true;
+  }
+  const auto *BP = static_cast<const uint8_t *>(B.P);
+  const auto *CP = static_cast<const uint8_t *>(C.P);
+  if (O == Op::VCast) {
+    castLanes(K, static_cast<PrimType::PrimKind>(S.SrcKind), S.Lanes, D, BP);
+    return true;
+  }
+  switch (K) {
+  case PrimType::Int8:
+    return laneArith<int8_t>(O, S.Lanes, D, BP, CP);
+  case PrimType::Int16:
+    return laneArith<int16_t>(O, S.Lanes, D, BP, CP);
+  case PrimType::Int32:
+    return laneArith<int32_t>(O, S.Lanes, D, BP, CP);
+  case PrimType::Int64:
+    return laneArith<int64_t>(O, S.Lanes, D, BP, CP);
+  case PrimType::UInt8:
+    return laneArith<uint8_t>(O, S.Lanes, D, BP, CP);
+  case PrimType::UInt16:
+    return laneArith<uint16_t>(O, S.Lanes, D, BP, CP);
+  case PrimType::UInt32:
+    return laneArith<uint32_t>(O, S.Lanes, D, BP, CP);
+  case PrimType::UInt64:
+    return laneArith<uint64_t>(O, S.Lanes, D, BP, CP);
+  case PrimType::Float32:
+    return laneArith<float>(O, S.Lanes, D, BP, CP);
+  case PrimType::Float64:
+    return laneArith<double>(O, S.Lanes, D, BP, CP);
+  default: // The compiler builds no bool or void lanes.
+    return true;
+  }
 }
 
 bool execFnLit(TerraFunction *Fn, bytecode::Slot &Dst, ExecEnv &Env) {

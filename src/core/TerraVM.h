@@ -104,6 +104,15 @@ void execTrap(const bytecode::Function &F, uint64_t Idx, ExecEnv &Env);
 /// under tiered execution, the TerraFunction otherwise). False on failure.
 bool execFnLit(TerraFunction *Fn, bytecode::Slot &Dst, ExecEnv &Env);
 
+/// Runs lane op \p O (VSplat..VNeg) with VecShape \p Imm, writing the
+/// vector at \p Dst. B and C hold the operand vectors' addresses (VSplat: B
+/// is the canonical lane value). False when an integer VDiv/VMod meets a
+/// zero divisor lane, before any lane is written; the caller then reports
+/// trap VecShape::Trap. Shared by the VM loop and the baseline JIT's helper
+/// path, so both tiers compute every lane identically.
+bool execLaneOp(bytecode::Op O, int64_t Imm, void *Dst, bytecode::Slot B,
+                bytecode::Slot C);
+
 /// Canonicalizes a staged call result into a register slot (VM loadRet).
 void loadCallResult(bytecode::Slot &Dst, bytecode::RetKind K,
                     const void *Src);

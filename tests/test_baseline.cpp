@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -395,6 +396,92 @@ TEST(Baseline, OversizedFrameBailsOutToVMWithIdenticalResults) {
   EXPECT_EQ(
       E.compiler().jit().metrics().counter("jit.baseline_bailouts").value(),
       Bailouts);
+}
+
+TEST(Baseline, LastCallTierReportsOutermostActivation) {
+  if (!BaselineJIT::supported() ||
+      Engine::defaultBackend() != BackendKind::Native)
+    GTEST_SKIP() << "needs the tiered dispatcher, which needs cc";
+  // f's 320 KB frame bails to the VM (see MediumFrameBailsOutBelowStack-
+  // GuardGap); its callee g runs on baseline code, reached through g's
+  // tiered dispatcher. The host call's top function ran on the VM, so it
+  // must report tier 0, not the nested callee's tier 2.
+  ScopedUnsetEnv NoForce("TERRACPP_INTERP");
+  ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
+  ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
+  ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "1000000");
+  ScopedEnv BThresh("TERRACPP_TIER_BACKEDGE_THRESHOLD", "1000000000");
+  Engine E(BackendKind::Native);
+  ASSERT_TRUE(E.run("terra g(x: double): double return x * 2 end\n"
+                    "terra f(n: int): double\n"
+                    "  var a: double[40000]\n"
+                    "  for i = 0, n do a[i] = g(i) end\n"
+                    "  return a[n - 1]\n"
+                    "end"))
+      << E.errors();
+  EXPECT_DOUBLE_EQ(callF(E, 10), 18.0);
+  EXPECT_GE(baselineFunctions(E), 1u) << "g ran on baseline code";
+  EXPECT_GE(
+      E.compiler().jit().metrics().counter("jit.baseline_bailouts").value(),
+      1u);
+  EXPECT_EQ(E.compiler().lastCallTier(), 0);
+}
+
+} // namespace
+
+extern "C" uint64_t terracppBaselineLaneOp(uint64_t O, int64_t Imm,
+                                           void *Dst, uint64_t B, uint64_t C);
+
+namespace {
+
+/// Baseline bytes for `f` in \p Src (compiled, not run).
+std::vector<uint8_t> emittedBytes(const char *Src) {
+  Engine E(BackendKind::Interp);
+  EXPECT_TRUE(E.run(Src)) << E.errors();
+  TerraFunction *F = E.terraFunction("f");
+  EXPECT_TRUE(F && E.compiler().ensureCompiled(F)) << E.errors();
+  std::vector<uint8_t> Bytes;
+  EXPECT_TRUE(F && BaselineJIT::emitBytesForTest(F, Bytes));
+  return Bytes;
+}
+
+/// Occurrences of register-form `0F <Op> /r` without a 66/F2/F3 prefix:
+/// the packed-single form of an SSE arithmetic opcode.
+size_t packedSingleCount(const std::vector<uint8_t> &B, uint8_t Op) {
+  size_t N = 0;
+  for (size_t I = 1; I + 2 < B.size(); ++I)
+    if (B[I] == 0x0F && B[I + 1] == Op && B[I + 2] >= 0xC0 &&
+        B[I - 1] != 0x66 && B[I - 1] != 0xF2 && B[I - 1] != 0xF3)
+      ++N;
+  return N;
+}
+
+bool callsLaneHelper(const std::vector<uint8_t> &B) {
+  uint64_t Addr = reinterpret_cast<uint64_t>(&terracppBaselineLaneOp);
+  uint8_t Pat[8];
+  memcpy(Pat, &Addr, 8);
+  return std::search(B.begin(), B.end(), Pat, Pat + 8) != B.end();
+}
+
+TEST(Baseline, VectorFloatAddEmitsPackedAddps) {
+  if (!BaselineJIT::supported())
+    GTEST_SKIP();
+  // vector(float,8) is 32 bytes: two packed addps, no lane-op helper call.
+  std::vector<uint8_t> F32 =
+      emittedBytes("terra f(a: &float, b: &float)\n"
+                   "  @[&vector(float, 8)](a) = @[&vector(float, 8)](a) +\n"
+                   "                            @[&vector(float, 8)](b)\n"
+                   "end");
+  EXPECT_EQ(packedSingleCount(F32, 0x58), 2u);
+  EXPECT_FALSE(callsLaneHelper(F32));
+  // Integer lanes take the helper path instead.
+  std::vector<uint8_t> I32 =
+      emittedBytes("terra f(a: &int, b: &int)\n"
+                   "  @[&vector(int, 4)](a) = @[&vector(int, 4)](a) +\n"
+                   "                          @[&vector(int, 4)](b)\n"
+                   "end");
+  EXPECT_EQ(packedSingleCount(I32, 0x58), 0u);
+  EXPECT_TRUE(callsLaneHelper(I32));
 }
 
 TEST(Baseline, DisabledByEnvKnob) {

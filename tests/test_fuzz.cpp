@@ -1,21 +1,25 @@
 //===- test_fuzz.cpp - Randomized differential backend testing ------------===//
 //
 // Property: for any well-typed Terra program, every execution engine — the
-// native C backend, the tier-0 register-bytecode VM, and the tree-walking
-// evaluator — computes the bit-identical result. This suite generates
-// random (seeded, reproducible) programs — double arithmetic, comparisons,
-// branches, bounded loops, assignments — runs them on all three engines,
-// and compares. Doubles are used for arithmetic so no C undefined behavior
-// (signed overflow) can make "disagreement" ambiguous.
+// native C backend, the baseline JIT, the tier-0 register-bytecode VM, and
+// the tree-walking evaluator — computes the bit-identical result. This
+// suite generates random (seeded, reproducible) programs — double
+// arithmetic, comparisons, branches, bounded loops, assignments; integer
+// division and shifts; vector(T,N) lane arithmetic — runs them on all four
+// engines, and compares. Value ranges are kept where no C undefined behavior
+// (signed overflow) or fused multiply-add can make "disagreement" ambiguous.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ScopedEnv.h"
 #include "core/Engine.h"
+#include "core/StagingAPI.h"
+#include "core/TerraType.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 using namespace terracpp;
@@ -314,6 +318,275 @@ TEST_P(IntFuzzDiffTest, BackendsAgreeOnGuardElidedCode) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntFuzzDiffTest,
+                         ::testing::Range<uint64_t>(1, 25));
+
+//===----------------------------------------------------------------------===//
+// vector(float,8), vector(double,4) and vector(int32,4) programs: splat, lane
+// arithmetic, min/max, negation, lane casts, lane extract/compare/store, and
+// loads and stores through vector pointers. Built with stage::Builder, since
+// min/max exist only as staged intrinsics. Float values stay small integers
+// between statements (clamped with min/max; quotients truncated through an
+// int32 lane cast), so every product is exact and the native build's fused
+// multiply-adds cannot change a bit, and the result hashes every lane. Every fourth seed divides an int32
+// vector by a zero lane: the interpreter tiers must trap identically.
+//===----------------------------------------------------------------------===//
+
+class VectorProgramGen {
+public:
+  VectorProgramGen(uint64_t Seed, stage::Builder &B)
+      : R(Seed), B(B), TC(B.types()) {}
+
+  /// Builds `f(x: double): double`; \p Traps tells whether it divides by a
+  /// zero lane when called with x = 1.5.
+  TerraFunction *generate(bool Traps) {
+    Type *I32 = TC.int32();
+    X = B.sym(TC.float64(), "x");
+    K[F] = kind(TC.float32(), 8, 16, 32, false);
+    K[D] = kind(TC.float64(), 4, 8, 2048, false);
+    K[I] = kind(I32, 4, 8, 1009, true);
+    Q8 = TC.vector(I32, 8);
+    std::vector<TerraStmt *> Body;
+    for (Kind &Kd : K) {
+      // buf[k] = x * 2 + k - 4, then v = splat(x * 2): small integers.
+      TerraSymbol *Ix = B.sym(TC.int64(), "k");
+      TerraExpr *Init = B.add(B.mul(B.var(X), B.litFloat(2)),
+                              B.sub(B.var(Ix), B.litI64(4)));
+      Body.push_back(B.varDecl(Kd.Buf));
+      Body.push_back(B.forNum(
+          Ix, B.litI64(0), B.litI64(Kd.BufLen),
+          B.block({B.assign(B.index(B.var(Kd.Buf), B.var(Ix)),
+                            B.cast(Kd.Elem, Init))})));
+      Body.push_back(B.varDecl(
+          Kd.V, B.cast(Kd.Vec, B.cast(Kd.Elem, B.mul(B.var(X),
+                                                      B.litFloat(2))))));
+    }
+    int N = 6 + R.range(8);
+    int TrapAt = Traps ? R.range(N) : -1;
+    for (int S = 0; S != N; ++S) {
+      if (S == TrapAt)
+        zeroLaneDivision(Body);
+      Body.push_back(stmt(K[R.range(3)]));
+    }
+    // Hash every lane and buffer element (all small integers) so a change
+    // in any one of them shows in the result.
+    TerraSymbol *H = B.sym(TC.int64(), "h");
+    Body.push_back(B.varDecl(H, B.litI64(0)));
+    auto Fold = [&](TerraExpr *E) {
+      Body.push_back(B.assign(
+          B.var(H),
+          B.mod(B.add(B.add(B.mul(B.var(H), B.litI64(31)),
+                            B.cast(TC.int64(), E)),
+                      B.litI64(4096)),
+                B.litI64(1000000007))));
+    };
+    for (Kind &Kd : K) {
+      for (int L = 0; L != Kd.Lanes; ++L)
+        Fold(B.index(B.var(Kd.V), L));
+      for (int L = 0; L != Kd.BufLen; ++L)
+        Fold(B.index(B.var(Kd.Buf), L));
+    }
+    Body.push_back(B.ret(B.cast(TC.float64(), B.var(H))));
+    return B.function("f", {X}, TC.float64(), B.block(std::move(Body)));
+  }
+
+  TerraSymbol *param() const { return X; }
+
+private:
+  struct Kind {
+    Type *Elem, *Vec, *Ptr;
+    TerraSymbol *V, *Buf;
+    int Lanes, BufLen;
+    int64_t Bound; ///< Values stay in [-Bound, Bound] between statements.
+    bool Int;
+  };
+  enum { F, D, I };
+
+  Kind kind(Type *Elem, int Lanes, int BufLen, int64_t Bound, bool Int) {
+    Kind Kd;
+    Kd.Elem = Elem;
+    Kd.Vec = TC.vector(Elem, Lanes);
+    Kd.Ptr = TC.pointer(Kd.Vec);
+    Kd.V = B.sym(Kd.Vec, "v");
+    Kd.Buf = B.sym(TC.array(Elem, BufLen), "buf");
+    Kd.Lanes = Lanes;
+    Kd.BufLen = BufLen;
+    Kd.Bound = Bound;
+    Kd.Int = Int;
+    return Kd;
+  }
+
+  TerraExpr *lit(const Kind &Kd, int64_t V) {
+    return Kd.Int ? B.litInt(V, Kd.Elem)
+                  : B.litFloat(static_cast<double>(V), Kd.Elem);
+  }
+  TerraExpr *splat(const Kind &Kd, int64_t V) {
+    return B.cast(Kd.Vec, lit(Kd, V));
+  }
+  TerraExpr *lane(const Kind &Kd, int L) { return B.index(B.var(Kd.V), L); }
+  /// @[&vector](&buf[off]): a vector load or store through a cast pointer.
+  TerraExpr *mem(const Kind &Kd) {
+    int64_t Off = R.range(Kd.BufLen - Kd.Lanes + 1);
+    return B.deref(B.cast(Kd.Ptr, B.addrOf(B.index(B.var(Kd.Buf), Off))));
+  }
+
+  /// Operands within Bound.
+  TerraExpr *leaf(const Kind &Kd) {
+    switch (R.range(4)) {
+    case 0:
+      return B.var(Kd.V);
+    case 1:
+      return splat(Kd, R.range(9) - 4);
+    case 2:
+      return mem(Kd);
+    default:
+      return B.cast(Kd.Vec, lane(Kd, R.range(Kd.Lanes)));
+    }
+  }
+  /// Within Bound^2: one product of leaves at most.
+  TerraExpr *term(const Kind &Kd) {
+    switch (R.range(4)) {
+    case 0:
+      return leaf(Kd);
+    case 1:
+      return R.range(2) ? B.minExpr(leaf(Kd), leaf(Kd))
+                        : B.maxExpr(leaf(Kd), leaf(Kd));
+    case 2:
+      return B.mul(leaf(Kd), leaf(Kd));
+    default:
+      return R.range(2) ? B.add(leaf(Kd), leaf(Kd)) : B.sub(leaf(Kd), leaf(Kd));
+    }
+  }
+  TerraExpr *combine(const Kind &Kd) {
+    TerraExpr *A = term(Kd), *C = term(Kd);
+    switch (R.range(3)) {
+    case 0:
+      return B.add(A, C);
+    case 1:
+      return B.sub(A, C);
+    default:
+      return B.mul(A, C);
+    }
+  }
+  /// Brings a value back within Bound: clamp floats, reduce integers.
+  TerraExpr *fix(const Kind &Kd, TerraExpr *E) {
+    if (Kd.Int)
+      return B.mod(E, splat(Kd, Kd.Bound));
+    return B.maxExpr(B.minExpr(E, splat(Kd, Kd.Bound)),
+                     splat(Kd, -Kd.Bound));
+  }
+
+  TerraStmt *stmt(Kind &Kd) {
+    switch (R.range(7)) {
+    case 0:
+    case 1:
+      return B.assign(B.var(Kd.V), fix(Kd, combine(Kd)));
+    case 2: {
+      static const int Divs[] = {2, 3, -4, 5, 7};
+      TerraExpr *Q = B.div(term(Kd), splat(Kd, Divs[R.range(5)]));
+      if (Kd.Int)
+        return B.assign(B.var(Kd.V), R.range(2) ? Q
+                                                : B.mod(term(Kd),
+                                                        splat(Kd, 3)));
+      // Truncate the quotient to an integer through int32 lanes.
+      Type *QT = Kd.Lanes == 8 ? Q8 : K[I].Vec;
+      return B.assign(B.var(Kd.V), B.cast(Kd.Vec, B.cast(QT, fix(Kd, Q))));
+    }
+    case 3:
+      return B.assign(mem(Kd), fix(Kd, term(Kd)));
+    case 4:
+      return B.assign(B.var(Kd.V), fix(Kd, B.neg(term(Kd))));
+    case 5: {
+      // Lane extract, scalar compare, lane store.
+      int A = R.range(Kd.Lanes), C = R.range(Kd.Lanes);
+      TerraExpr *V = B.maxExpr(
+          B.minExpr(B.add(lane(Kd, C), lit(Kd, R.range(9) - 4)),
+                    lit(Kd, Kd.Bound)),
+          lit(Kd, -Kd.Bound));
+      return B.ifStmt(B.lt(lane(Kd, A), lane(Kd, C)),
+                      B.block({B.assign(lane(Kd, A), V)}));
+    }
+    default: {
+      // Lane casts between kinds (all values are integers in range).
+      if (&Kd == &K[F]) {
+        TerraExpr *Ints = B.deref(B.cast(
+            TC.pointer(Q8), B.addrOf(B.index(B.var(K[I].Buf), int64_t(0)))));
+        return B.assign(B.var(Kd.V), fix(Kd, B.cast(Kd.Vec, Ints)));
+      }
+      Kind &Other = &Kd == &K[D] ? K[I] : K[D];
+      return B.assign(B.var(Kd.V),
+                      fix(Kd, B.cast(Kd.Vec, B.var(Other.V))));
+    }
+    }
+  }
+
+  /// dz = splat(3); dz[l] = int32(x * 2) - 3 (zero at x = 1.5); v = v / dz.
+  void zeroLaneDivision(std::vector<TerraStmt *> &Body) {
+    Kind &Kd = K[I];
+    TerraSymbol *Dz = B.sym(Kd.Vec, "dz");
+    Body.push_back(B.varDecl(Dz, splat(Kd, 3)));
+    Body.push_back(B.assign(
+        B.index(B.var(Dz), R.range(Kd.Lanes)),
+        B.sub(B.cast(Kd.Elem, B.mul(B.var(X), B.litFloat(2))), lit(Kd, 3))));
+    Body.push_back(B.assign(B.var(Kd.V), B.div(B.var(Kd.V), B.var(Dz))));
+  }
+
+  Rng R;
+  stage::Builder &B;
+  TypeContext &TC;
+  TerraSymbol *X = nullptr;
+  Kind K[3];
+  Type *Q8 = nullptr;
+};
+
+class VectorFuzzDiffTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(VectorFuzzDiffTest, BackendsAgree) {
+  bool Native = Engine::defaultBackend() == BackendKind::Native;
+  uint64_t Seed = GetParam();
+  bool Traps = Seed % 4 == 0;
+  uint64_t Results[NumEngines] = {0};
+  std::string Errors[NumEngines];
+  bool Have[NumEngines] = {false};
+  for (int I = 0; I != NumEngines; ++I) {
+    const EngineConfig &C = Engines[I];
+    // Native code SIGFPEs on the zero lane (C semantics): no native run.
+    if (C.Backend == BackendKind::Native && (!Native || Traps))
+      continue;
+    ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
+    ScopedEnv Force("TERRACPP_INTERP", C.InterpMode ? C.InterpMode : "");
+    ScopedEnv Base("TERRACPP_JIT_BASELINE", C.Baseline ? "1" : "0");
+    Engine E(C.Backend);
+    stage::Builder B(E.context());
+    TerraFunction *F = VectorProgramGen(Seed, B).generate(Traps);
+    std::vector<Value> Args = {Value::number(1.5)}, R;
+    bool OK = E.compiler().callFromHost(F, Args, R, SourceLoc());
+    ASSERT_EQ(OK, !Traps) << "seed " << Seed << " engine " << C.Name << "\n"
+                          << E.errors();
+    if (OK) {
+      double D = R[0].asNumber();
+      memcpy(&Results[I], &D, 8);
+    }
+    Errors[I] = E.errors();
+    Have[I] = true;
+    if (C.Backend == BackendKind::Interp && !C.InterpMode)
+      EXPECT_EQ(E.compiler().jit().metrics().counter("interp.tree_calls").value(),
+                0u)
+          << "seed " << Seed << ": vector code fell back to the tree-walker";
+  }
+  ASSERT_TRUE(Have[1] && Have[2] && Have[3]);
+  // The same trap message (or none) and the same bits on every tier.
+  EXPECT_EQ(Errors[2], Errors[3]) << "vm vs tree, seed " << Seed;
+  EXPECT_EQ(Errors[1], Errors[2]) << "baseline vs vm, seed " << Seed;
+  if (Traps)
+    EXPECT_NE(Errors[3].find("integer division by zero"), std::string::npos)
+        << Errors[3];
+  EXPECT_EQ(Results[2], Results[3]) << "vm vs tree, seed " << Seed;
+  EXPECT_EQ(Results[1], Results[2]) << "baseline vs vm, seed " << Seed;
+  if (Have[0])
+    EXPECT_EQ(Results[0], Results[2]) << "native vs vm, seed " << Seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VectorFuzzDiffTest,
                          ::testing::Range<uint64_t>(1, 25));
 
 } // namespace

@@ -602,6 +602,54 @@ TEST(Terrad, MetricsTextOpRendersPrometheusExposition) {
   EXPECT_EQ(Text.find(Family, Text.find(Family) + 1), std::string::npos);
 }
 
+TEST(Terrad, TreeWalkerFallbackCountersExported) {
+  // Tier 0 pins the interp backend, with or without cc.
+  ScopedEnv Tier("TERRACPP_JIT_TIER", "0");
+  ServerFixture F;
+  ASSERT_TRUE(F.StartOK) << F.StartErr;
+  Client C = F.client();
+  Client::CompileResult R =
+      C.compile("terra vec(n: int): int\n"
+                "  var v: vector(int, 4) = n\n"
+                "  return (v * v)[1]\n"
+                "end\n"
+                "terra add1(x: int): int return x + 1 end\n"
+                "terra ind(n: int): int\n"
+                "  var fp: int -> int = add1\n"
+                "  return fp(n)\n"
+                "end\n");
+  ASSERT_TRUE(R.OK) << R.Error << "\n" << R.Diagnostics;
+  Client::CallResult Vec = C.call(R.Handle, "vec", {Value::number(3)});
+  ASSERT_TRUE(Vec.OK) << Vec.Error;
+  EXPECT_EQ(Vec.Result.asNumber(), 9.0);
+  Client::CallResult Ind = C.call(R.Handle, "ind", {Value::number(4)});
+  ASSERT_TRUE(Ind.OK) << Ind.Error;
+  EXPECT_EQ(Ind.Result.asNumber(), 5.0);
+
+  // The per-engine snapshot: the vector function stayed on bytecode; the
+  // indirect call was rejected and tree-walked (ind, then add1 under it).
+  Value M = C.metrics();
+  ASSERT_FALSE(M.isNull()) << C.error();
+  const Value *Engines = M.get("engines");
+  ASSERT_TRUE(Engines && Engines->isObject());
+  const Value *Jit = Engines->get(R.Handle);
+  ASSERT_TRUE(Jit && Jit->isObject());
+  const Value *Counters = Jit->get("counters");
+  ASSERT_TRUE(Counters && Counters->isObject());
+  EXPECT_EQ(Counters->getNumber("bytecode.bailouts.vector", -1), 0.0);
+  EXPECT_EQ(Counters->getNumber("bytecode.bailouts.indirect_call", -1), 1.0);
+  EXPECT_EQ(Counters->getNumber("interp.tree_calls", -1), 2.0);
+
+  Value Req = Value::object();
+  Req.set("op", Value::string("metrics_text"));
+  Value Resp = C.request(Req);
+  ASSERT_TRUE(Resp.getBool("ok")) << Resp.getString("error");
+  std::string Text = Resp.getString("text");
+  EXPECT_NE(Text.find("terracpp_interp_tree_calls"), std::string::npos);
+  EXPECT_NE(Text.find("terracpp_bytecode_bailouts_indirect_call"),
+            std::string::npos);
+}
+
 TEST(Terrad, TraceDumpOpReturnsTaggedSpans) {
   ScopedTracing Tracing; // In-memory, like a shard under TERRACPP_TRACE=-.
   ServerFixture F;

@@ -6,7 +6,8 @@
 //     (not silently falling back to the tree-walker);
 //   * VM results match the tree-walking evaluator bit for bit across
 //     arithmetic, loops, structs, recursion, and traps;
-//   * the documented bailouts (vectors, indirect calls) fall back to the
+//   * vector(T,N) code runs on bytecode lane ops (test_vector covers them
+//     in depth); the documented bailout (indirect calls) falls back to the
 //     tree-walker with identical semantics;
 //   * dispatch latency and back-edge telemetry is recorded.
 //
@@ -75,7 +76,8 @@ TEST(VM, RecordsDispatchTelemetry) {
             100u);
 }
 
-TEST(VM, VectorProgramFallsBackToTreeWalker) {
+TEST(VM, VectorProgramRunsOnBytecode) {
+  ScopedEnv NoBase("TERRACPP_JIT_BASELINE", "0");
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run("terra f(k: double): double\n"
                     "  var v: vector(double, 4) = k\n"
@@ -86,8 +88,36 @@ TEST(VM, VectorProgramFallsBackToTreeWalker) {
   EXPECT_DOUBLE_EQ(callF(E, 2.5), 10.0);
   TerraFunction *F = E.terraFunction("f");
   ASSERT_NE(F, nullptr);
-  // Vectors are a documented bailout: no bytecode, still correct.
-  EXPECT_EQ(F->Bytecode, nullptr);
+  // Vectors live in the frame; lane ops, not the tree-walker, run them.
+  ASSERT_NE(F->Bytecode, nullptr);
+  EXPECT_EQ(E.compiler().jit().metrics().counter("interp.tree_calls").value(),
+            0u);
+  std::string Dis = bytecode::disassemble(*F->Bytecode);
+  EXPECT_NE(Dis.find("VSplat"), std::string::npos) << Dis;
+  EXPECT_NE(Dis.find("VAdd"), std::string::npos) << Dis;
+}
+
+TEST(VM, DisassemblesVectorLaneOps) {
+  Engine E(BackendKind::Interp);
+  ASSERT_TRUE(E.run("terra f(k: int): double\n"
+                    "  var v: vector(int32, 4) = k\n"
+                    "  var q = -(v / v) % 3\n"
+                    "  var d = [vector(float, 4)](q) * 2.0f\n"
+                    "  return d[1]\n"
+                    "end"))
+      << E.errors();
+  EXPECT_DOUBLE_EQ(callF(E, 4), -2.0);
+  TerraFunction *F = E.terraFunction("f");
+  ASSERT_NE(F, nullptr);
+  ASSERT_NE(F->Bytecode, nullptr);
+  std::string Dis = bytecode::disassemble(*F->Bytecode);
+  // Each lane op names its lanes; integer division names its trap.
+  for (const char *Want :
+       {"VSplat", "; vector(int32,4)", "VDiv",
+        "; vector(int32,4) \"integer division by zero\"", "VNeg", "VMod",
+        "\"integer modulo by zero\"", "VCast", "; vector(float,4) from int32",
+        "VMul"})
+    EXPECT_NE(Dis.find(Want), std::string::npos) << Want << "\n" << Dis;
 }
 
 TEST(VM, IndirectCallFallsBackToTreeWalker) {
