@@ -48,6 +48,8 @@ public:
   /// modules are valid only within this process image, so the JIT must not
   /// reuse them from the persistent cache across runs.
   bool BakedRuntimeAddr = false;
+  /// Compiled callees referenced through a baked address.
+  std::set<const TerraFunction *> BakedCallees;
 
   std::string bakedPtr(const void *P) {
     BakedRuntimeAddr = true;
@@ -288,6 +290,7 @@ public:
     }
     if (F->RawPtr) {
       // Previously compiled: bake the absolute address, JIT-style.
+      BakedCallees.insert(F);
       return "((" + fnPtrCast(F) + ")" + bakedPtr(F->RawPtr) + ")";
     }
     fail("function '" + F->Name + "' referenced before compilation");
@@ -863,5 +866,6 @@ std::string CBackend::emitModule(
     Out << "#include <" << H << ">\n";
   Out << "\n" << Em.Prologue.str() << "\n" << Decls.str() << Em.Body.str();
   LastBakedAddrs = Em.BakedRuntimeAddr;
+  LastBakedCallees = static_cast<unsigned>(Em.BakedCallees.size());
   return Out.str();
 }

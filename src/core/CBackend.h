@@ -50,10 +50,15 @@ public:
   /// JIT's persistent cross-process cache.
   bool lastModuleBakedAddresses() const { return LastBakedAddrs; }
 
+  /// Distinct previously compiled callees the most recent emitModule calls
+  /// through a baked address: calls the C compiler cannot inline.
+  unsigned lastModuleBakedCallees() const { return LastBakedCallees; }
+
 private:
   class Emitter;
   TerraContext &Ctx;
   bool LastBakedAddrs = false;
+  unsigned LastBakedCallees = 0;
 };
 
 } // namespace terracpp

@@ -164,6 +164,18 @@ private:
   void collectComponent(TerraFunction *F,
                         std::vector<TerraFunction *> &Component);
 
+  /// Runs the midend passes and the verifier over a typechecked, analyzed
+  /// component (host closures have no body and are skipped), counting
+  /// inlined calls.
+  bool runMidend(const std::vector<TerraFunction *> &Component);
+
+  /// Emits the C module for \p Component (traced and timed as codegen of
+  /// \p Root). \p Cacheable is false when the source bakes process-local
+  /// addresses; calls through a baked callee address are counted.
+  std::string emitComponent(TerraFunction *Root,
+                            const std::vector<TerraFunction *> &Component,
+                            bool &Cacheable);
+
   /// Tier-0 installation for a freshly generated component: parks the C
   /// source with the TierManager, compiles each function to bytecode, and
   /// installs the tiered dispatcher Entry.
@@ -181,6 +193,8 @@ private:
   std::unique_ptr<TierManager> Tiers;
   std::unique_ptr<TerraInterpBackend> InterpBackend;
   std::unique_ptr<BaselineJIT> Baseline;
+  telemetry::Counter &MInlinedCalls;    ///< midend.inlined_calls
+  telemetry::Counter &MBakedCalleeRefs; ///< codegen.baked_callee_refs
   std::atomic<int> LastCallTier{-1};
   std::map<const void *, TerraFunction *> RawToFn;
 

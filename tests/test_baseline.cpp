@@ -404,15 +404,19 @@ TEST(Baseline, LastCallTierReportsOutermostActivation) {
     GTEST_SKIP() << "needs the tiered dispatcher, which needs cc";
   // f's 320 KB frame bails to the VM (see MediumFrameBailsOutBelowStack-
   // GuardGap); its callee g runs on baseline code, reached through g's
-  // tiered dispatcher. The host call's top function ran on the VM, so it
-  // must report tier 0, not the nested callee's tier 2.
+  // tiered dispatcher (its branch keeps the midend from inlining it). The
+  // host call's top function ran on the VM, so it must report tier 0, not
+  // the nested callee's tier 2.
   ScopedUnsetEnv NoForce("TERRACPP_INTERP");
   ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
   ScopedEnv Tier("TERRACPP_JIT_TIER", "auto");
   ScopedEnv Thresh("TERRACPP_TIER_CALL_THRESHOLD", "1000000");
   ScopedEnv BThresh("TERRACPP_TIER_BACKEDGE_THRESHOLD", "1000000000");
   Engine E(BackendKind::Native);
-  ASSERT_TRUE(E.run("terra g(x: double): double return x * 2 end\n"
+  ASSERT_TRUE(E.run("terra g(x: double): double\n"
+                    "  if x < 0 then return 0 end\n"
+                    "  return x * 2\n"
+                    "end\n"
                     "terra f(n: int): double\n"
                     "  var a: double[40000]\n"
                     "  for i = 0, n do a[i] = g(i) end\n"

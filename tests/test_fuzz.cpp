@@ -5,9 +5,11 @@
 // the tree-walking evaluator — computes the bit-identical result. This
 // suite generates random (seeded, reproducible) programs — double
 // arithmetic, comparisons, branches, bounded loops, assignments; integer
-// division and shifts; vector(T,N) lane arithmetic — runs them on all four
-// engines, and compares. Value ranges are kept where no C undefined behavior
-// (signed overflow) or fused multiply-add can make "disagreement" ambiguous.
+// division and shifts; vector(T,N) lane arithmetic; accessor helpers the
+// midend inlines, next to the same program inlined by hand — runs them on
+// all four engines, and compares. Value ranges are kept where no C
+// undefined behavior (signed overflow) or fused multiply-add can make
+// "disagreement" ambiguous.
 //
 //===----------------------------------------------------------------------===//
 
@@ -588,5 +590,255 @@ TEST_P(VectorFuzzDiffTest, BackendsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VectorFuzzDiffTest,
                          ::testing::Range<uint64_t>(1, 25));
+
+//===----------------------------------------------------------------------===//
+// Accessor programs: small getter/setter helpers over a struct pointer, an
+// array pointer and scalars, called from loops and conditions. The midend
+// inlines such helpers, so each program is also emitted with every helper
+// call substituted by hand in the script text; both forms must agree on
+// every engine. Some helpers are compiled before `f` (in a seeded order),
+// so native `f` meets them already compiled: the case where a call would
+// go through a baked address. Multiplications are by powers of two only,
+// so the native build's fused multiply-adds cannot change a bit.
+//===----------------------------------------------------------------------===//
+
+class AccessorProgramGen {
+public:
+  explicit AccessorProgramGen(uint64_t Seed) : R(Seed) {}
+
+  /// The program with helper calls, and the same program hand-inlined.
+  struct Forms {
+    std::string Calls, Hand;
+  };
+
+  Forms generate() {
+    Forms Out;
+    const std::string Helpers =
+        "struct Acc { a: double; b: double; n: int }\n"
+        "terra get_a(p: &Acc): double return p.a end\n"
+        "terra get_b(p: &Acc): double return p.b end\n"
+        "terra set_a(p: &Acc, v: double) p.a = v end\n"
+        "terra set_b(p: &Acc, v: double) p.b = v end\n"
+        "terra damp(x: double, k: double): double return x * 0.5 + k end\n"
+        "terra step(p: &Acc, k: double)\n"
+        "  var t = p.b\n"
+        "  p.b = t * 0.5 + k\n"
+        "  p.n = p.n + 1\n"
+        "end\n"
+        "terra swap(p: &Acc) var t = p.a p.a = p.b p.b = t end\n"
+        "terra at(q: &double, i: int): double return q[i] end\n"
+        "terra put(q: &double, i: int, v: double) q[i] = v end\n";
+    Out.Calls = Helpers;
+    Out.Hand = "struct Acc { a: double; b: double; n: int }\n";
+    Forms Body;
+    Body.Calls = Body.Hand = "terra f(x: double): double\n"
+                             "  var s = Acc { x, 1.0, 0 }\n"
+                             "  var p = &s\n"
+                             "  var buf: double[4]\n"
+                             "  buf[0] = x buf[1] = 0.5 buf[2] = -1.0 "
+                             "buf[3] = 2.0\n"
+                             "  var q: &double = &buf[0]\n"
+                             "  var r = 0.0\n";
+    int NumStmts = 4 + R.range(6);
+    for (int I = 0; I != NumStmts; ++I)
+      append(Body, stmt(1, ""));
+    append(Body, same("  return s.a + s.b * 2.0 + r + [double](s.n) + "
+                      "buf[0] + buf[1] * 4.0 + buf[2] + buf[3]\nend\n"));
+    append(Out, Body);
+    return Out;
+  }
+
+  /// Helpers to compile before `f`, in order.
+  std::vector<std::string> precompiled() {
+    static const char *Names[] = {"get_a", "get_b", "set_a", "set_b", "damp",
+                                  "step",  "swap",  "at",    "put"};
+    std::vector<std::string> Out;
+    for (int I = 0, N = R.range(4); I != N; ++I)
+      Out.push_back(Names[R.range(9)]);
+    return Out;
+  }
+
+private:
+  static Forms same(const std::string &S) { return {S, S}; }
+  static void append(Forms &To, const Forms &F) {
+    To.Calls += F.Calls;
+    To.Hand += F.Hand;
+  }
+  static Forms join(std::initializer_list<Forms> Parts) {
+    Forms Out;
+    for (const Forms &P : Parts)
+      append(Out, P);
+    return Out;
+  }
+
+  /// `&s` or `p`: both name s; the hand form selects through either.
+  Forms self() { return R.range(2) ? Forms{"&s", "s"} : Forms{"p", "p"}; }
+
+  Forms get(const char *Field) {
+    Forms P = self();
+    return {std::string("get_") + Field + "(" + P.Calls + ")",
+            P.Hand + "." + Field};
+  }
+
+  Forms lit() {
+    std::ostringstream OS;
+    OS << R.small();
+    std::string S = OS.str();
+    if (S.find('.') == std::string::npos)
+      S += ".0";
+    return same(S);
+  }
+
+  /// A double expression; \p K names an enclosing loop variable, if any.
+  Forms expr(int Depth, const std::string &K) {
+    if (Depth <= 0 || R.range(3) == 0) {
+      switch (R.range(K.empty() ? 5 : 6)) {
+      case 0:
+        return same("x");
+      case 1:
+        return same("r");
+      case 2:
+        return get("a");
+      case 3:
+        return get("b");
+      case 4:
+        return lit();
+      default:
+        return {"at(q, " + K + ")", "q[" + K + "]"};
+      }
+    }
+    Forms A = expr(Depth - 1, K), B = expr(Depth - 1, K);
+    switch (R.range(3)) {
+    case 0:
+      return join({same("("), A, same(" + "), B, same(")")});
+    case 1:
+      return join({same("("), A, same(" - "), B, same(")")});
+    default:
+      return {"damp(" + A.Calls + ", " + B.Calls + ")",
+              "((" + A.Hand + ") * 0.5 + (" + B.Hand + "))"};
+    }
+  }
+
+  Forms stmt(int Indent, const std::string &K) {
+    std::string Pad(Indent * 2, ' ');
+    switch (R.range(K.empty() ? 7 : 8)) {
+    case 0: {
+      Forms E = expr(1, K);
+      return {Pad + "set_a(&s, damp(get_a(p), " + E.Calls + "))\n",
+              Pad + "s.a = ((p.a) * 0.5 + (" + E.Hand + "))\n"};
+    }
+    case 1: {
+      Forms P = self(), E = expr(1, K);
+      return {Pad + "set_b(" + P.Calls + ", " + E.Calls + " * 0.25)\n",
+              Pad + P.Hand + ".b = " + E.Hand + " * 0.25\n"};
+    }
+    case 2: {
+      Forms P = self(), E = expr(1, K);
+      std::string T = "t" + std::to_string(Counter++);
+      return {Pad + "step(" + P.Calls + ", " + E.Calls + ")\n",
+              Pad + "do var " + T + " = " + P.Hand + ".b " + P.Hand +
+                  ".b = " + T + " * 0.5 + (" + E.Hand + ") " + P.Hand +
+                  ".n = " + P.Hand + ".n + 1 end\n"};
+    }
+    case 3: {
+      std::string T = "t" + std::to_string(Counter++);
+      return {Pad + "swap(p)\n", Pad + "do var " + T +
+                                      " = p.a p.a = p.b p.b = " + T +
+                                      " end\n"};
+    }
+    case 4: {
+      Forms E = expr(1, K);
+      return {Pad + "r = damp(r, " + E.Calls + ")\n",
+              Pad + "r = ((r) * 0.5 + (" + E.Hand + "))\n"};
+    }
+    case 5: {
+      Forms C = join({expr(0, K), same(" < "), expr(0, K)});
+      Forms Then = stmt(Indent + 1, K);
+      return join({same(Pad + "if "), C, same(" then\n"), Then,
+                   same(Pad + "end\n")});
+    }
+    case 6: {
+      std::string V = "k" + std::to_string(Counter++);
+      Forms Body = stmt(Indent + 1, V);
+      return join({same(Pad + "for " + V + " = 0, " +
+                        std::to_string(1 + R.range(4)) + " do\n"),
+                   Body, same(Pad + "end\n")});
+    }
+    default: {
+      Forms E = expr(1, K);
+      return {Pad + "put(q, " + K + ", damp(at(q, " + K + "), " + E.Calls +
+                  "))\n",
+              Pad + "q[" + K + "] = ((q[" + K + "]) * 0.5 + (" + E.Hand +
+                  "))\n"};
+    }
+    }
+  }
+
+  Rng R;
+  int Counter = 0;
+};
+
+class AccessorFuzzDiffTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AccessorFuzzDiffTest, InlinedAndHandWrittenAgree) {
+  bool Native = Engine::defaultBackend() == BackendKind::Native;
+  uint64_t Seed = GetParam();
+  AccessorProgramGen G(Seed);
+  AccessorProgramGen::Forms Src = G.generate();
+  std::vector<std::string> Early = G.precompiled();
+
+  double Results[2][NumEngines] = {{0}};
+  bool Have[NumEngines] = {false};
+  for (int Form = 0; Form != 2; ++Form) {
+    const std::string &Text = Form == 0 ? Src.Calls : Src.Hand;
+    for (int I = 0; I != NumEngines; ++I) {
+      const EngineConfig &C = Engines[I];
+      if (C.Backend == BackendKind::Native && !Native)
+        continue;
+      ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
+      ScopedEnv Force("TERRACPP_INTERP", C.InterpMode ? C.InterpMode : "");
+      ScopedEnv Base("TERRACPP_JIT_BASELINE", C.Baseline ? "1" : "0");
+      Engine E(C.Backend);
+      ASSERT_TRUE(E.run(Text, "accfuzz")) << "seed " << Seed << "\n"
+                                          << Text << "\n"
+                                          << E.errors();
+      if (Form == 0)
+        for (const std::string &H : Early)
+          ASSERT_TRUE(E.compiler().ensureCompiled(E.terraFunction(H)))
+              << H << "\n" << E.errors();
+      std::vector<Value> R;
+      ASSERT_TRUE(E.call(E.global("f"), {Value::number(1.5)}, R))
+          << "seed " << Seed << " engine " << C.Name << "\n"
+          << Text << "\n"
+          << E.errors();
+      ASSERT_TRUE(R[0].isNumber());
+      // Every program holds call statements, which are always inlined.
+      if (Form == 0)
+        EXPECT_GE(E.compiler()
+                      .jit()
+                      .metrics()
+                      .counter("midend.inlined_calls")
+                      .value(),
+                  1u);
+      Results[Form][I] = R[0].asNumber();
+      Have[I] = true;
+    }
+  }
+  ASSERT_TRUE(Have[1] && Have[2] && Have[3]);
+  ASSERT_FALSE(std::isnan(Results[1][2])) << Src.Hand;
+  for (int I = 0; I != NumEngines; ++I) {
+    if (!Have[I])
+      continue;
+    EXPECT_EQ(Results[0][I], Results[1][2])
+        << "helpers on " << Engines[I].Name << " vs hand-inlined on vm, seed "
+        << Seed << "\n" << Src.Calls << "\n" << Src.Hand;
+    EXPECT_EQ(Results[1][I], Results[1][2])
+        << "hand-inlined on " << Engines[I].Name << " vs vm, seed " << Seed
+        << "\n" << Src.Hand;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AccessorFuzzDiffTest,
+                         ::testing::Range<uint64_t>(1, 17));
 
 } // namespace

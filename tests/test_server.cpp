@@ -650,6 +650,44 @@ TEST(Terrad, TreeWalkerFallbackCountersExported) {
             std::string::npos);
 }
 
+TEST(Terrad, InlinerCountersExported) {
+  ServerFixture F;
+  ASSERT_TRUE(F.StartOK) << F.StartErr;
+  Client C = F.client();
+  Client::CompileResult R =
+      C.compile("struct P { x: int; y: int }\n"
+                "terra getx(p: &P): int return p.x end\n"
+                "terra f(n: int): int\n"
+                "  var p = P { n, 1 }\n"
+                "  return getx(&p) + p.y\n"
+                "end\n");
+  ASSERT_TRUE(R.OK) << R.Error << "\n" << R.Diagnostics;
+  Client::CallResult Call = C.call(R.Handle, "f", {Value::number(4)});
+  ASSERT_TRUE(Call.OK) << Call.Error;
+  EXPECT_EQ(Call.Result.asNumber(), 5.0);
+
+  // The engine's JIT registry counts the inlined getx call; nothing was
+  // compiled before f, so no callee address was baked.
+  Value M = C.metrics();
+  ASSERT_FALSE(M.isNull()) << C.error();
+  const Value *Jit = M.get("engines") ? M.get("engines")->get(R.Handle)
+                                      : nullptr;
+  ASSERT_TRUE(Jit && Jit->isObject());
+  const Value *Counters = Jit->get("counters");
+  ASSERT_TRUE(Counters && Counters->isObject());
+  EXPECT_EQ(Counters->getNumber("midend.inlined_calls", -1), 1.0);
+  EXPECT_EQ(Counters->getNumber("codegen.baked_callee_refs", -1), 0.0);
+
+  Value Req = Value::object();
+  Req.set("op", Value::string("metrics_text"));
+  Value Resp = C.request(Req);
+  ASSERT_TRUE(Resp.getBool("ok")) << Resp.getString("error");
+  std::string Text = Resp.getString("text");
+  EXPECT_NE(Text.find("terracpp_midend_inlined_calls"), std::string::npos);
+  EXPECT_NE(Text.find("terracpp_codegen_baked_callee_refs"),
+            std::string::npos);
+}
+
 TEST(Terrad, TraceDumpOpReturnsTaggedSpans) {
   ScopedTracing Tracing; // In-memory, like a shard under TERRACPP_TRACE=-.
   ServerFixture F;
@@ -770,11 +808,18 @@ TEST(Terrad, TraceDumpConsistentUnderConcurrentLoad) {
   // trace_dump snapshots: every snapshot must be internally consistent
   // (well-formed events, absolute timestamps), never torn.
   std::atomic<bool> Stop{false};
+  std::atomic<bool> FirstPingDone{false};
   std::thread Load([&] {
     Client C = F.client();
-    while (!Stop.load())
+    while (!Stop.load()) {
       C.ping();
+      FirstPingDone.store(true);
+    }
   });
+  // The snapshots must overlap the load: without this wait all 20 can
+  // finish before the load thread's first ping is served.
+  while (!FirstPingDone.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   Client C = F.client();
   size_t PrevCount = 0;
   for (int I = 0; I != 20; ++I) {
