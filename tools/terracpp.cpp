@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analysis.h"
+#include "analysis/CallGraph.h"
 #include "core/CBackend.h"
 #include "core/Engine.h"
 #include "core/TerraPasses.h"
@@ -427,12 +428,16 @@ int main(int Argc, char **Argv) {
       fprintf(stderr, "%s", E.errors().c_str());
       return 1;
     }
-    runMidendPasses(E.context(), F);
     CBackend CB(E.context());
     std::vector<TerraFunction *> Fns = {F};
     for (TerraFunction *Callee : F->Callees)
       if (!Callee->IsExtern)
         Fns.push_back(Callee);
+    // Callees first, as the compiler runs them, so the inliner's work shows.
+    analysis::CallGraph CG(Fns);
+    for (TerraFunction *Fn : CG.bottomUpOrder())
+      if (!Fn->HostClosure)
+        runMidendPasses(E.context(), Fn);
     printf("%s", CB.emitModule(Fns, &E.compiler()).c_str());
   }
   if (!ProfilePath.empty() && !writeProfile(E, ProfilePath))
