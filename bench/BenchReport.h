@@ -1,17 +1,18 @@
 //===- BenchReport.h - Machine-readable benchmark reports ------*- C++ -*-===//
 //
-// Tiny JSON emitter for the perf-trajectory files (BENCH_compile.json,
-// BENCH_gemm.json) written next to the benchmark binaries. Flat
-// object/array structure only — enough for counters, no general escaping
-// of exotic strings (keys/values are ASCII identifiers and numbers).
+// Assembles the perf-trajectory files (BENCH_compile.json,
+// BENCH_gemm.json, ...) written next to the benchmark binaries. A thin
+// layer over support/Json, which escapes strings and formats numbers, so a
+// report is valid JSON whatever its keys and values hold.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef TERRACPP_BENCH_BENCHREPORT_H
 #define TERRACPP_BENCH_BENCHREPORT_H
 
+#include "support/Json.h"
+
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,45 +20,44 @@
 namespace benchreport {
 
 class Json {
+  using Value = terracpp::json::Value;
+
 public:
   Json &put(const std::string &Key, double V) {
-    std::ostringstream SS;
-    SS << V;
-    return raw(Key, SS.str());
+    return set(Key, Value::number(V));
   }
   Json &put(const std::string &Key, unsigned V) {
-    return raw(Key, std::to_string(V));
+    return set(Key, Value::number(V));
   }
   Json &put(const std::string &Key, int V) {
-    return raw(Key, std::to_string(V));
+    return set(Key, Value::number(V));
   }
   Json &put(const std::string &Key, bool V) {
-    return raw(Key, V ? "true" : "false");
+    return set(Key, Value::boolean(V));
   }
   Json &put(const std::string &Key, const std::string &V) {
-    return raw(Key, "\"" + V + "\"");
+    return set(Key, Value::string(V));
   }
   Json &put(const std::string &Key, const Json &Nested) {
-    return raw(Key, Nested.str());
+    return set(Key, Nested.Obj);
   }
   Json &put(const std::string &Key, const std::vector<Json> &Arr) {
-    std::string S = "[";
-    for (size_t I = 0; I != Arr.size(); ++I)
-      S += (I ? ", " : "") + Arr[I].str();
-    return raw(Key, S + "]");
+    Value A = Value::array();
+    for (const Json &J : Arr)
+      A.push(J.Obj);
+    return set(Key, std::move(A));
   }
-  /// Splices \p RawJson in verbatim — for values already serialized by a
-  /// real JSON emitter (e.g. a telemetry registry snapshot's dump()).
+  /// Splices in a value already serialized as JSON (e.g. a telemetry
+  /// registry snapshot's dump()); one that does not parse becomes null.
   Json &putRaw(const std::string &Key, const std::string &RawJson) {
-    return raw(Key, RawJson);
+    Value V;
+    std::string Err;
+    if (!terracpp::json::parse(RawJson, V, Err))
+      V = Value();
+    return set(Key, std::move(V));
   }
 
-  std::string str() const {
-    std::string S = "{";
-    for (size_t I = 0; I != Fields.size(); ++I)
-      S += (I ? ", " : "") + Fields[I];
-    return S + "}";
-  }
+  std::string str() const { return Obj.dump(); }
 
   bool writeTo(const std::string &Path) const {
     std::ofstream Out(Path, std::ios::trunc);
@@ -68,11 +68,11 @@ public:
   }
 
 private:
-  Json &raw(const std::string &Key, const std::string &V) {
-    Fields.push_back("\"" + Key + "\": " + V);
+  Json &set(const std::string &Key, Value V) {
+    Obj.set(Key, std::move(V));
     return *this;
   }
-  std::vector<std::string> Fields;
+  Value Obj = Value::object();
 };
 
 /// Stamps every report with the host's parallelism so trajectory numbers

@@ -537,6 +537,34 @@ public:
   // Expressions
   //===------------------------------------------------------------------===//
 
+  /// Emits the operands \p Ops[0..N) of a call or binary operator into
+  /// \p Out[0..N). C leaves their evaluation order unspecified while every
+  /// other tier runs them left to right, which a call among them can
+  /// observe (it may write what another operand reads). So when
+  /// \p MayReorder and one operand calls while another is not a literal,
+  /// each non-literal operand is bound to a fresh temporary, in order; the
+  /// returned declarations then open a GNU statement expression around the
+  /// use.
+  std::string evalInOrder(TerraExpr *const *Ops, unsigned N, bool MayReorder,
+                          std::string *Out) {
+    unsigned NonLiterals = 0;
+    for (unsigned I = 0; I != N; ++I) {
+      Out[I] = expr(Ops[I]);
+      NonLiterals += !isa<LitExpr>(Ops[I]);
+    }
+    if (!MayReorder || NonLiterals < 2 || std::none_of(Ops, Ops + N, hasCall))
+      return "";
+    std::string Binds;
+    for (unsigned I = 0; I != N; ++I) {
+      if (isa<LitExpr>(Ops[I]))
+        continue;
+      std::string Tmp = "_e" + std::to_string(NameCounter++);
+      Binds += "__auto_type " + Tmp + " = " + Out[I] + "; ";
+      Out[I] = Tmp;
+    }
+    return Binds;
+  }
+
   std::string expr(const TerraExpr *E) {
     switch (E->kind()) {
     case TerraNode::NK_Lit: {
@@ -635,17 +663,26 @@ public:
         Callee = fnRefInCall(F->Fn);
       else
         Callee = "(" + expr(A->Callee) + ")";
+      std::vector<std::string> Args(A->NumArgs);
+      std::string Binds =
+          evalInOrder(A->Args, A->NumArgs, /*MayReorder=*/true, Args.data());
       std::string S = Callee + "(";
       for (unsigned I = 0; I != A->NumArgs; ++I) {
         if (I)
           S += ", ";
-        S += expr(A->Args[I]);
+        S += Args[I];
       }
       S += ")";
-      return S;
+      return Binds.empty() ? S : "(__extension__({ " + Binds + S + "; }))";
     }
     case TerraNode::NK_BinOp: {
       const auto *B = cast<BinOpExpr>(E);
+      // && and || already sequence their operands.
+      bool ShortCircuit = B->Op == BinOpKind::And || B->Op == BinOpKind::Or;
+      TerraExpr *Ops[2] = {B->LHS, B->RHS};
+      std::string Val[2];
+      std::string Binds = evalInOrder(Ops, 2, !ShortCircuit, Val);
+      const std::string &L = Val[0], &R = Val[1];
       const char *Op = nullptr;
       switch (B->Op) {
       case BinOpKind::Add:
@@ -664,10 +701,7 @@ public:
         Op = "%";
         break;
       case BinOpKind::Shl:
-        // Compute in uint64_t: left-shifting a negative value is UB in C,
-        // and the low result-width bits are identical either way.
-        return "((" + cType(B->Ty) + ")((uint64_t)" + expr(B->LHS) +
-               " << (uint64_t)" + expr(B->RHS) + "))";
+        break;
       case BinOpKind::Shr:
         Op = ">>";
         break;
@@ -696,13 +730,20 @@ public:
         Op = "||";
         break;
       }
-      std::string S =
-          "(" + expr(B->LHS) + " " + Op + " " + expr(B->RHS) + ")";
-      // C's integer promotions widen sub-int arithmetic to int; truncate
-      // back to the Terra result type (e.g. uint8 + uint8 wraps at 256).
-      if (B->Ty && B->Ty->isIntegral() && B->Ty->size() < 4)
-        S = "((" + cType(B->Ty) + ")" + S + ")";
-      return S;
+      std::string S;
+      if (B->Op == BinOpKind::Shl) {
+        // Compute in uint64_t: left-shifting a negative value is UB in C,
+        // and the low result-width bits are identical either way.
+        S = "((" + cType(B->Ty) + ")((uint64_t)" + L + " << (uint64_t)" + R +
+            "))";
+      } else {
+        S = "(" + L + " " + Op + " " + R + ")";
+        // C's integer promotions widen sub-int arithmetic to int; truncate
+        // back to the Terra result type (e.g. uint8 + uint8 wraps at 256).
+        if (B->Ty && B->Ty->isIntegral() && B->Ty->size() < 4)
+          S = "((" + cType(B->Ty) + ")" + S + ")";
+      }
+      return Binds.empty() ? S : "(__extension__({ " + Binds + S + "; }))";
     }
     case TerraNode::NK_UnOp: {
       const auto *U = cast<UnOpExpr>(E);

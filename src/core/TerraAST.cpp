@@ -51,3 +51,40 @@ const char *TerraContext::internStringData(const std::string &S) {
   StringData.push_back(std::make_unique<std::string>(S));
   return StringData.back()->c_str();
 }
+
+bool terracpp::hasCall(const TerraExpr *E) {
+  if (!E)
+    return false;
+  switch (E->kind()) {
+  case TerraNode::NK_Apply:
+    return true;
+  case TerraNode::NK_Select:
+    return hasCall(cast<SelectExpr>(E)->Base);
+  case TerraNode::NK_BinOp:
+    return hasCall(cast<BinOpExpr>(E)->LHS) ||
+           hasCall(cast<BinOpExpr>(E)->RHS);
+  case TerraNode::NK_UnOp:
+    return hasCall(cast<UnOpExpr>(E)->Operand);
+  case TerraNode::NK_Index:
+    return hasCall(cast<IndexExpr>(E)->Base) ||
+           hasCall(cast<IndexExpr>(E)->Idx);
+  case TerraNode::NK_Cast:
+    return hasCall(cast<CastExpr>(E)->Operand);
+  case TerraNode::NK_Constructor: {
+    const auto *C = cast<ConstructorExpr>(E);
+    for (unsigned I = 0; I != C->NumInits; ++I)
+      if (hasCall(C->Inits[I]))
+        return true;
+    return false;
+  }
+  case TerraNode::NK_Intrinsic: {
+    const auto *N = cast<IntrinsicExpr>(E);
+    for (unsigned I = 0; I != N->NumArgs; ++I)
+      if (hasCall(N->Args[I]))
+        return true;
+    return false;
+  }
+  default:
+    return false;
+  }
+}

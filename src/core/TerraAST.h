@@ -367,6 +367,10 @@ public:
   static bool classof(const TerraNode *N) { return N->kind() == NK_Intrinsic; }
 };
 
+/// True when evaluating \p E runs a call (the only expression that can
+/// write memory), so the order in which it is evaluated is observable.
+bool hasCall(const TerraExpr *E);
+
 //===----------------------------------------------------------------------===//
 // Statements
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,14 @@ using terracpp::json::Value;
 
 MuxClient::~MuxClient() { close(); }
 
+void MuxClient::closeFd(int F) {
+  // Under SendM: a submit() that loaded F before it was retired finishes
+  // its write first, so the number can never be reused under it.
+  std::lock_guard<std::mutex> SL(SendM);
+  if (F >= 0)
+    ::close(F);
+}
+
 bool MuxClient::connect(const std::string &SocketPath,
                         const ConnectOptions &CO) {
   close();
@@ -38,9 +46,7 @@ bool MuxClient::connect(const std::string &SocketPath,
     if (CO.HealthCheck) {
       // A bound socket whose daemon is wedged (or a stale socket file from
       // a dead process that something else re-bound) must not count as up.
-      Value Ping = Value::object();
-      Ping.set("op", Value::string("ping"));
-      Value R = request(std::move(Ping), CO.HealthTimeoutMs);
+      Value R = request(server::opRequest("ping"), CO.HealthTimeoutMs);
       if (!R.getBool("ok")) {
         LastError = R.isNull() ? LastError : R.getString("error",
                                                          "health check failed");
@@ -48,15 +54,7 @@ bool MuxClient::connect(const std::string &SocketPath,
           LastError = "health check ping failed";
         // Tear this attempt down without flagging UserClosed permanently:
         // the retry loop may try again.
-        int F = Fd.exchange(-1, std::memory_order_acq_rel);
-        UserClosed.store(true, std::memory_order_release);
-        if (F >= 0)
-          ::shutdown(F, SHUT_RDWR);
-        if (Reader.joinable())
-          Reader.join();
-        if (F >= 0)
-          ::close(F);
-        Down.store(true, std::memory_order_release);
+        close();
         UserClosed.store(false, std::memory_order_release);
         return false;
       }
@@ -72,8 +70,7 @@ void MuxClient::close() {
     ::shutdown(F, SHUT_RDWR); // Wakes the reader's poll with EOF.
   if (Reader.joinable())
     Reader.join();
-  if (F >= 0)
-    ::close(F); // Only after the reader is gone: no fd-reuse races.
+  closeFd(F); // Only after the reader is gone: no fd-reuse races.
   Down.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> Lock(M);

@@ -127,6 +127,8 @@ private:
   };
 
   void readerLoop();
+  /// Closes a retired fd (already swapped out of Fd) without racing a write.
+  void closeFd(int F);
   /// Completes every pending request with \p Error. Caller must not hold M.
   void failAllPending(const json::Value &Error);
   void complete(uint64_t Id, json::Value Response);

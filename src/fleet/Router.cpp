@@ -6,14 +6,10 @@
 #include "support/Log.h"
 #include "support/Trace.h"
 
-#include <algorithm>
-#include <cerrno>
 #include <csignal>
-#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace terracpp;
@@ -21,38 +17,8 @@ using namespace terracpp::fleet;
 using terracpp::json::Value;
 
 //===----------------------------------------------------------------------===//
-// Signal plumbing (separate flag from Server's: terrad and terrafleet are
-// different binaries, and a test process may host both).
-//===----------------------------------------------------------------------===//
-
-static std::atomic<int> GFleetSignalFlag{0};
-static_assert(std::atomic<int>::is_always_lock_free);
-
-static void fleetSignalHandler(int) {
-  GFleetSignalFlag.store(1, std::memory_order_relaxed);
-}
-
-void Router::installSignalHandlers() {
-  struct sigaction SA;
-  memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = fleetSignalHandler;
-  sigemptyset(&SA.sa_mask);
-  sigaction(SIGTERM, &SA, nullptr);
-  sigaction(SIGINT, &SA, nullptr);
-}
-
-bool Router::signalReceived() {
-  return GFleetSignalFlag.load(std::memory_order_relaxed) != 0;
-}
-
-//===----------------------------------------------------------------------===//
 // Lifecycle
 //===----------------------------------------------------------------------===//
-
-Router::FrontLink::~FrontLink() {
-  if (Fd >= 0)
-    ::close(Fd);
-}
 
 Router::Router(RouterConfig C)
     : Config(std::move(C)),
@@ -65,7 +31,8 @@ Router::Router(RouterConfig C)
       MProtocolMismatches(Reg.counter("fleet.protocol_mismatches")),
       MSlowRequests(Reg.counter("fleet.slow_requests")),
       MShardsUp(Reg.gauge("fleet.shards_up")),
-      MRouteLatencyUs(Reg.histogram("fleet.route_latency_us")) {
+      MRouteLatencyUs(Reg.histogram("fleet.route_latency_us")),
+      Core(*this, {"router", nullptr, nullptr, &MProtocolMismatches}) {
   for (size_t I = 0; I != Config.Shards.size(); ++I) {
     auto S = std::make_unique<Shard>();
     S->Cfg = Config.Shards[I];
@@ -122,8 +89,7 @@ bool Router::estimateShardClock(unsigned Index) {
   int64_t BestOffset = 0;
   uint64_t BestRtt = UINT64_MAX;
   for (int I = 0; I != 5; ++I) {
-    Value Req = Value::object();
-    Req.set("op", Value::string("ping"));
+    Value Req = server::opRequest("ping");
     uint64_t T0 = telemetry::nowMicros();
     Value Resp = S.Mux.request(std::move(Req), 500);
     uint64_t T1 = telemetry::nowMicros();
@@ -150,6 +116,23 @@ bool Router::estimateShardClock(unsigned Index) {
   return true;
 }
 
+void Router::joinRing(unsigned Index) {
+  Shards[Index]->Up.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> Lock(RingM);
+    Ring.addNode(Index, Config.VirtualNodes);
+  }
+  countShardsUp();
+}
+
+unsigned Router::countShardsUp() {
+  unsigned UpCount = 0;
+  for (const auto &S : Shards)
+    UpCount += S->Up.load(std::memory_order_acquire);
+  MShardsUp.set(UpCount);
+  return UpCount;
+}
+
 void Router::onShardLost(unsigned Index) {
   // Runs on the shard's mux reader thread: flip state and counters only —
   // never Mux.close() here (it would join the thread we are on). The
@@ -162,11 +145,7 @@ void Router::onShardLost(unsigned Index) {
     std::lock_guard<std::mutex> Lock(RingM);
     Ring.removeNode(Index);
   }
-  int64_t UpCount = 0;
-  for (const auto &Sh : Shards)
-    if (Sh->Up.load(std::memory_order_acquire))
-      ++UpCount;
-  MShardsUp.set(UpCount);
+  countShardsUp();
   S.NextAttemptUs.store(telemetry::nowMicros(), std::memory_order_release);
   logging::emit(logging::Level::Warn, "fleet.shard_lost",
                 {{"shard", std::to_string(Index)},
@@ -174,7 +153,7 @@ void Router::onShardLost(unsigned Index) {
 }
 
 bool Router::start(std::string &Err) {
-  if (Started) {
+  if (Core.started()) {
     Err = "router already started";
     return false;
   }
@@ -185,15 +164,11 @@ bool Router::start(std::string &Err) {
       return false;
     }
 
-  unsigned UpCount = 0;
   for (unsigned I = 0; I != Shards.size(); ++I) {
     Shard &S = *Shards[I];
     S.Mux.setOnConnectionLost([this, I] { onShardLost(I); });
     if (connectShard(I, Config.ConnectAttempts)) {
-      S.Up.store(true, std::memory_order_release);
-      std::lock_guard<std::mutex> Lock(RingM);
-      Ring.addNode(I, Config.VirtualNodes);
-      ++UpCount;
+      joinRing(I);
     } else {
       logging::emit(logging::Level::Warn, "fleet.shard_connect_failed",
                     {{"shard", std::to_string(I)},
@@ -203,97 +178,26 @@ bool Router::start(std::string &Err) {
                             std::memory_order_release);
     }
   }
-  MShardsUp.set(UpCount);
+  unsigned UpCount = countShardsUp();
   if (UpCount == 0) {
     Err = "no shard came up";
     return false;
   }
 
-  ListenFd = server::listenUnix(Config.FrontSocket, Config.Backlog, Err);
-  if (ListenFd < 0)
-    return false;
-
-  Acceptor = std::thread([this] { acceptLoop(); });
+  // The monitor first: the drain that may follow right after the core
+  // starts joins it.
+  StopMonitor.store(false, std::memory_order_release);
   Monitor = std::thread([this] { monitorLoop(); });
-  Started = true;
+  if (!Core.start(Config.FrontSocket, Config.Backlog, Err)) {
+    StopMonitor.store(true, std::memory_order_release);
+    Monitor.join();
+    return false;
+  }
   logging::emit(logging::Level::Info, "fleet.start",
                 {{"front", Config.FrontSocket},
                  {"shards", std::to_string(Shards.size())},
                  {"shards_up", std::to_string(UpCount)}});
   return true;
-}
-
-void Router::requestShutdown() {
-  bool Expected = false;
-  if (!Draining.compare_exchange_strong(Expected, true))
-    return;
-  if (!Started)
-    ShutdownComplete = true;
-}
-
-void Router::wait() {
-  if (!Started)
-    return;
-  std::unique_lock<std::mutex> Lock(ShutdownMutex);
-  ShutdownCV.wait(Lock, [&] { return ShutdownComplete.load(); });
-  if (Acceptor.joinable())
-    Acceptor.join();
-}
-
-void Router::acceptLoop() {
-  while (!Draining) {
-    if (signalReceived()) {
-      GFleetSignalFlag.store(0, std::memory_order_relaxed);
-      requestShutdown();
-    }
-    if (Draining)
-      break;
-    struct pollfd PFd = {ListenFd, POLLIN, 0};
-    int PR = ::poll(&PFd, 1, 100);
-    reapFronts(/*Join=*/false);
-    if (PR < 0) {
-      if (errno == EINTR)
-        continue;
-      requestShutdown();
-      break;
-    }
-    if (PR == 0 || !(PFd.revents & POLLIN))
-      continue;
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0)
-      continue;
-    auto FC = std::make_unique<FrontConn>();
-    FC->Link = std::make_shared<FrontLink>();
-    FC->Link->Fd = Fd;
-    FrontConn *FCP = FC.get();
-    std::lock_guard<std::mutex> Lock(FrontM);
-    Fronts.push_back(std::move(FC));
-    FCP->Reader = std::thread([this, FCP] {
-      frontLoop(FCP->Link);
-      FCP->Finished = true;
-    });
-  }
-  beginShutdown();
-}
-
-void Router::reapFronts(bool Join) {
-  std::vector<std::unique_ptr<FrontConn>> Dead;
-  {
-    std::lock_guard<std::mutex> Lock(FrontM);
-    auto Keep = Fronts.begin();
-    for (auto &F : Fronts) {
-      if (Join || F->Finished)
-        Dead.push_back(std::move(F));
-      else
-        *Keep++ = std::move(F);
-    }
-    Fronts.erase(Keep, Fronts.end());
-  }
-  for (auto &F : Dead)
-    if (F->Reader.joinable())
-      F->Reader.join();
-  // The link fd closes when the last shared_ptr drops — possibly later,
-  // from an in-flight relay callback. Writes after shutdown fail benignly.
 }
 
 void Router::monitorLoop() {
@@ -328,18 +232,9 @@ void Router::monitorLoop() {
         }
       }
       if (connectShard(I, 1)) {
-        S.Up.store(true, std::memory_order_release);
-        {
-          std::lock_guard<std::mutex> Lock(RingM);
-          Ring.addNode(I, Config.VirtualNodes);
-        }
+        joinRing(I);
         S.FailedAttempts = 0;
         MReconnects.inc();
-        int64_t UpCount = 0;
-        for (const auto &Sh : Shards)
-          if (Sh->Up.load(std::memory_order_acquire))
-            ++UpCount;
-        MShardsUp.set(UpCount);
         logging::emit(logging::Level::Info, "fleet.shard_reconnect",
                       {{"shard", std::to_string(I)}});
       } else {
@@ -356,14 +251,9 @@ void Router::monitorLoop() {
   }
 }
 
-void Router::beginShutdown() {
-  // 1. Stop accepting new fronts.
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  ::unlink(Config.FrontSocket.c_str());
-  // 2. Bounded grace for in-flight relays to complete.
+void Router::onDrain() {
+  // Runs once the front socket has stopped accepting. 1. Bounded grace for
+  // in-flight relays to complete.
   for (int WaitedMs = 0; WaitedMs < 2000; WaitedMs += 20) {
     unsigned InFlight = 0;
     for (auto &S : Shards)
@@ -373,7 +263,7 @@ void Router::beginShutdown() {
       break;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  // 2b. Write the merged fleet trace while the shards are still alive to
+  // 2. Write the merged fleet trace while the shards are still alive to
   //     answer trace_dump — after the grace wait, so in-flight requests'
   //     spans are recorded, and before shard teardown below.
   if (!Config.TraceOutPath.empty()) {
@@ -395,23 +285,13 @@ void Router::beginShutdown() {
   StopMonitor.store(true, std::memory_order_release);
   if (Monitor.joinable())
     Monitor.join();
-  // 4. Wake and reap every front reader.
-  {
-    std::lock_guard<std::mutex> Lock(FrontM);
-    for (auto &F : Fronts) {
-      F->Link->Closed.store(true, std::memory_order_release);
-      ::shutdown(F->Link->Fd, SHUT_RDWR);
-    }
-  }
-  reapFronts(/*Join=*/true);
-  // 5. Owned shards drain and exit; attached shards are left running.
+  // 4. Owned shards drain and exit; attached shards are left running. A
+  //    front request arriving from here on gets shard_unavailable; the
+  //    core half-closes the fronts once this returns.
   for (unsigned I = 0; I != Shards.size(); ++I) {
     Shard &S = *Shards[I];
-    if (S.Cfg.Spawn && S.Up.load(std::memory_order_acquire)) {
-      Value Req = Value::object();
-      Req.set("op", Value::string("shutdown"));
-      S.Mux.request(std::move(Req), 2000);
-    }
+    if (S.Cfg.Spawn)
+      askShard(I, server::opRequest("shutdown"));
     S.Mux.close();
     if (S.Cfg.Spawn && S.Proc.started()) {
       if (S.Proc.waitExit(3000) < 0) {
@@ -421,11 +301,6 @@ void Router::beginShutdown() {
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> Lock(ShutdownMutex);
-    ShutdownComplete = true;
-  }
-  ShutdownCV.notify_all();
 }
 
 //===----------------------------------------------------------------------===//
@@ -449,162 +324,44 @@ bool Router::shardUp(unsigned Index) {
 // Front connections
 //===----------------------------------------------------------------------===//
 
-bool Router::relayToFront(const std::shared_ptr<FrontLink> &Link,
-                          Value Response, const Value &ClientId) {
-  // The mux id is router-internal; restore the client's own id (if any).
-  Response.remove("id");
-  if (!ClientId.isNull())
-    Response.set("id", ClientId);
-  Response.set("v", Value::number(server::ProtocolVersion));
-  std::lock_guard<std::mutex> Lock(Link->WriteM);
-  if (Link->Closed.load(std::memory_order_acquire))
-    return false;
-  if (!server::writeMessage(Link->Fd, Response)) {
-    Link->Closed.store(true, std::memory_order_release);
-    return false;
+void Router::onFrame(const std::shared_ptr<server::Link> &L,
+                     server::Frame &F) {
+  const std::string &Op = F.Op;
+  Value R;
+  if (Op == "ping" && !F.Request.get("delay_ms")) {
+    // Plain pings are a front-socket health check and answered here. A
+    // ping carrying delay_ms is the protocol's latency-simulation knob and
+    // must exercise a real shard round trip, so it is routed.
+    R = server::okResponse();
+    R.set("fleet", Value::boolean(true));
+  } else if (Op == "stats") {
+    R = aggregatedStats();
+  } else if (Op == "metrics") {
+    R = aggregatedMetrics();
+  } else if (Op == "metrics_text") {
+    R = aggregatedMetricsText(F.Request);
+  } else if (Op == "trace_dump") {
+    R = mergedTraceJson();
+    R.set("ok", Value::boolean(true));
+  } else if (Op == "profile") {
+    R = aggregatedProfile(F.Request);
+  } else if (Op == "compile_batch") {
+    routeBatch(L, F);
+    return;
+  } else if (Op == "compile" || Op == "call" || Op == "ping") {
+    routeRequest(L, F);
+    return;
+  } else {
+    R = server::errorResponse("unknown op '" + Op + "'");
   }
-  return true;
+  L->send(std::move(R), F.TraceId, F.Id);
 }
 
-void Router::frontLoop(std::shared_ptr<FrontLink> Link) {
-  while (true) {
-    Value Request;
-    std::string Err;
-    server::FrameStatus St = server::readMessage(Link->Fd, Request, Err);
-    if (St != server::FrameStatus::OK) {
-      if (St == server::FrameStatus::Error && !Err.empty() &&
-          Err != "frame read failed")
-        relayToFront(Link, server::errorResponse("bad request: " + Err),
-                     Value());
-      break;
-    }
-    if (!Request.isObject()) {
-      if (!relayToFront(Link,
-                        server::errorResponse("request must be a JSON object"),
-                        Value()))
-        break;
-      continue;
-    }
-
-    Value ClientId;
-    if (const Value *IdV = Request.get("id"))
-      ClientId = *IdV;
-
-    // Every front-socket response carries the request's trace_id —
-    // client-supplied or generated here — including protocol_mismatch
-    // refusals and router-originated errors, so a client can correlate any
-    // answer (and the fleet's spans) with its own trace. Stamping it into
-    // the request means shards and MuxClient-originated errors echo the
-    // same id without further plumbing.
-    std::string TraceId = Request.getString("trace_id");
-    if (TraceId.empty()) {
-      static const std::string PidPrefix = std::to_string(::getpid()) + "-";
-      TraceId = PidPrefix +
-                std::to_string(NextTraceId.fetch_add(
-                    1, std::memory_order_relaxed));
-      Request.set("trace_id", Value::string(TraceId));
-    }
-    auto answerLocal = [&](Value R) {
-      R.set("trace_id", Value::string(TraceId));
-      return relayToFront(Link, std::move(R), ClientId);
-    };
-
-    // Same version gate as terrad's: the router refuses to relay frames it
-    // might be misreading.
-    {
-      const Value *V = Request.get("v");
-      int Got = (V && V->isNumber()) ? static_cast<int>(V->asNumber()) : 0;
-      if (Got != server::ProtocolVersion) {
-        MProtocolMismatches.inc();
-        Value R = server::errorResponseCode(
-            "protocol_mismatch",
-            "protocol version mismatch: router speaks v" +
-                std::to_string(server::ProtocolVersion) + ", request carried " +
-                (V ? "v" + std::to_string(Got) : std::string("no version")));
-        R.set("expected", Value::number(server::ProtocolVersion));
-        R.set("got", Value::number(Got));
-        if (!answerLocal(std::move(R)))
-          break;
-        continue;
-      }
-    }
-
-    std::string Op = Request.getString("op");
-
-    if (Op == "ping") {
-      // Plain pings are a front-socket health check and answered here. A
-      // ping carrying delay_ms is the protocol's latency-simulation knob
-      // and must exercise a real shard round trip, so it is routed.
-      if (Request.get("delay_ms")) {
-        routeRequest(Link, std::move(Request), Op);
-        continue;
-      }
-      Value R = Value::object();
-      R.set("ok", Value::boolean(true));
-      R.set("fleet", Value::boolean(true));
-      if (!answerLocal(std::move(R)))
-        break;
-      continue;
-    }
-    if (Op == "stats") {
-      if (!answerLocal(aggregatedStats()))
-        break;
-      continue;
-    }
-    if (Op == "metrics") {
-      if (!answerLocal(aggregatedMetrics()))
-        break;
-      continue;
-    }
-    if (Op == "metrics_text") {
-      if (!answerLocal(aggregatedMetricsText(Request)))
-        break;
-      continue;
-    }
-    if (Op == "trace_dump") {
-      Value R = mergedTraceJson();
-      R.set("ok", Value::boolean(true));
-      if (!answerLocal(std::move(R)))
-        break;
-      continue;
-    }
-    if (Op == "profile") {
-      if (!answerLocal(aggregatedProfile(Request)))
-        break;
-      continue;
-    }
-    if (Op == "shutdown") {
-      Value R = Value::object();
-      R.set("ok", Value::boolean(true));
-      R.set("draining", Value::boolean(true));
-      answerLocal(std::move(R));
-      requestShutdown();
-      continue;
-    }
-    if (Op == "compile_batch") {
-      routeBatch(Link, Request);
-      continue;
-    }
-    if (Op == "compile" || Op == "call") {
-      routeRequest(Link, std::move(Request), Op);
-      continue;
-    }
-    if (!answerLocal(server::errorResponse("unknown op '" + Op + "'")))
-      break;
-  }
-}
-
-void Router::routeRequest(const std::shared_ptr<FrontLink> &Link,
-                          Value Request, const std::string &Op) {
-  Value ClientId;
-  if (const Value *IdV = Request.get("id"))
-    ClientId = *IdV;
-  std::string TraceId = Request.getString("trace_id");
-  auto answer = [&](Value R) {
-    if (!TraceId.empty())
-      R.set("trace_id", Value::string(TraceId));
-    return relayToFront(Link, std::move(R), ClientId);
-  };
+void Router::routeRequest(const std::shared_ptr<server::Link> &L,
+                          server::Frame &F) {
+  Value &Request = F.Request;
+  const std::string &Op = F.Op;
+  auto answer = [&](Value R) { L->send(std::move(R), F.TraceId, F.Id); };
 
   // Placement key: terrad's own handle derivation, so compile and every
   // later call on the returned handle land on the same shard. Routed pings
@@ -644,10 +401,7 @@ void Router::routeRequest(const std::shared_ptr<FrontLink> &Link,
   }
   Shard &S = *Shards[static_cast<unsigned>(Idx)];
 
-  int TimeoutMs = Config.RequestTimeoutMs;
-  if (const Value *T = Request.get("timeout_ms"))
-    if (T->isNumber() && T->asNumber() >= 1)
-      TimeoutMs = static_cast<int>(T->asNumber());
+  int TimeoutMs = F.timeoutMs(Config.RequestTimeoutMs);
 
   // route.hop span: opened here, closed in the completion callback (the
   // interval spans queueing, the shard round trip, and the relay). The
@@ -670,8 +424,8 @@ void Router::routeRequest(const std::shared_ptr<FrontLink> &Link,
   // structured timeout answer (which names the op) normally wins.
   uint64_t Ticket = S.Mux.submit(
       std::move(Request), TimeoutMs + 2000,
-      [this, Link, ClientId, StartUs, Op, Idx, TraceId, HopSpan,
-       ClientParent](Value Resp) {
+      [this, L, ClientId = F.Id, StartUs, Op, Idx, TraceId = F.TraceId,
+       HopSpan, ClientParent](Value Resp) {
         uint64_t EndUs = telemetry::nowMicros();
         MRouteLatencyUs.record(EndUs - StartUs);
         if (HopSpan) {
@@ -705,9 +459,7 @@ void Router::routeRequest(const std::shared_ptr<FrontLink> &Link,
           if (Resp.getString("code") == "shard_unavailable")
             MShardUnavailable.inc();
         }
-        if (!TraceId.empty() && Resp.getString("trace_id").empty())
-          Resp.set("trace_id", Value::string(TraceId));
-        relayToFront(Link, std::move(Resp), ClientId);
+        L->send(std::move(Resp), TraceId, ClientId);
       });
   if (Ticket == 0) {
     MRequestsFailed.inc();
@@ -718,22 +470,16 @@ void Router::routeRequest(const std::shared_ptr<FrontLink> &Link,
   }
 }
 
-void Router::routeBatch(const std::shared_ptr<FrontLink> &Link,
-                        const Value &Request) {
+void Router::routeBatch(const std::shared_ptr<server::Link> &L,
+                        const server::Frame &F) {
   MBatchRequests.inc();
-  Value ClientId;
-  if (const Value *IdV = Request.get("id"))
-    ClientId = *IdV;
-  std::string TraceId = Request.getString("trace_id");
-
+  const Value &Request = F.Request;
   const Value *Sources = Request.get("sources");
   if (!Sources || !Sources->isArray()) {
     MRequestsFailed.inc();
-    Value R = server::errorResponse(
-        "compile_batch: missing array member 'sources'");
-    if (!TraceId.empty())
-      R.set("trace_id", Value::string(TraceId));
-    relayToFront(Link, std::move(R), ClientId);
+    L->send(server::errorResponse(
+                "compile_batch: missing array member 'sources'"),
+            F.TraceId, F.Id);
     return;
   }
   size_t N = Sources->size();
@@ -770,16 +516,13 @@ void Router::routeBatch(const std::shared_ptr<FrontLink> &Link,
     Groups[static_cast<unsigned>(Idx)].push_back(I);
   }
 
-  auto assembleAndRelay = [this, Link, ClientId, St, TraceId] {
+  auto assembleAndRelay = [L, ClientId = F.Id, St, TraceId = F.TraceId] {
     Value Results = Value::array();
     for (Value &S : St->Slots)
       Results.push(std::move(S));
-    Value R = Value::object();
-    R.set("ok", Value::boolean(true));
+    Value R = server::okResponse();
     R.set("results", std::move(Results));
-    if (!TraceId.empty())
-      R.set("trace_id", Value::string(TraceId));
-    relayToFront(Link, std::move(R), ClientId);
+    L->send(std::move(R), TraceId, ClientId);
   };
 
   if (Groups.empty()) {
@@ -788,10 +531,7 @@ void Router::routeBatch(const std::shared_ptr<FrontLink> &Link,
   }
   St->Remaining = Groups.size();
 
-  int TimeoutMs = Config.RequestTimeoutMs;
-  if (const Value *T = Request.get("timeout_ms"))
-    if (T->isNumber() && T->asNumber() >= 1)
-      TimeoutMs = static_cast<int>(T->asNumber());
+  int TimeoutMs = F.timeoutMs(Config.RequestTimeoutMs);
 
   for (auto &G : Groups) {
     unsigned ShardIdx = G.first;
@@ -800,8 +540,7 @@ void Router::routeBatch(const std::shared_ptr<FrontLink> &Link,
 
     Value Sub = Value::object();
     Sub.set("op", Value::string("compile_batch"));
-    if (const Value *Trace = Request.get("trace_id"))
-      Sub.set("trace_id", *Trace);
+    Sub.set("trace_id", Value::string(F.TraceId));
     Value SubSources = Value::array();
     for (size_t I : Indices)
       SubSources.push(Sources->at(I));
@@ -851,84 +590,68 @@ void Router::routeBatch(const std::shared_ptr<FrontLink> &Link,
 // Aggregated control plane
 //===----------------------------------------------------------------------===//
 
-json::Value Router::aggregatedStats() {
-  Value R = Value::object();
-  R.set("ok", Value::boolean(true));
-  R.set("fleet", Reg.toJson());
+Value Router::askShard(unsigned Index, Value Request) {
+  Shard &S = *Shards[Index];
+  if (!S.Up.load(std::memory_order_acquire))
+    return Value();
+  Value Resp = S.Mux.request(std::move(Request), 2000);
+  if (!Resp.getBool("ok"))
+    return Value();
+  Resp.remove("id");
+  Resp.remove("trace_id");
+  return Resp;
+}
 
-  double Hits = 0, Misses = 0, Compiles = 0, Batches = 0, Calls = 0,
-         Received = 0, EnginesCreated = 0, WarmHits = 0;
+json::Value Router::aggregatedStats() {
+  // Fleet-wide totals: with a shared TERRACPP_CACHE_DIR, a kernel promoted
+  // on one shard shows up as jit_cache_hits on every other shard that
+  // compiles the same content hash.
+  static const char *const Summed[] = {
+      "jit_cache_hits",   "jit_cache_misses",  "compile_requests",
+      "compile_batch_requests", "call_requests", "requests_received",
+      "engines_created",  "engine_warm_hits"};
+  double Sums[std::size(Summed)] = {};
   Value ShardsArr = Value::array();
   for (unsigned I = 0; I != Shards.size(); ++I) {
-    Shard &S = *Shards[I];
     Value SJ = Value::object();
     SJ.set("index", Value::number(I));
-    SJ.set("socket", Value::string(S.Cfg.SocketPath));
-    bool Up = S.Up.load(std::memory_order_acquire);
-    SJ.set("up", Value::boolean(Up));
-    if (Up) {
-      Value Req = Value::object();
-      Req.set("op", Value::string("stats"));
-      Value Resp = S.Mux.request(std::move(Req), 2000);
-      if (Resp.getBool("ok")) {
-        Hits += Resp.getNumber("jit_cache_hits");
-        Misses += Resp.getNumber("jit_cache_misses");
-        Compiles += Resp.getNumber("compile_requests");
-        Batches += Resp.getNumber("compile_batch_requests");
-        Calls += Resp.getNumber("call_requests");
-        Received += Resp.getNumber("requests_received");
-        EnginesCreated += Resp.getNumber("engines_created");
-        WarmHits += Resp.getNumber("engine_warm_hits");
-        Resp.remove("id");
-        Resp.remove("trace_id");
-        SJ.set("stats", std::move(Resp));
-      }
+    SJ.set("socket", Value::string(Shards[I]->Cfg.SocketPath));
+    SJ.set("up", Value::boolean(shardUp(I)));
+    Value Resp = askShard(I, server::opRequest("stats"));
+    if (!Resp.isNull()) {
+      for (size_t K = 0; K != std::size(Summed); ++K)
+        Sums[K] += Resp.getNumber(Summed[K]);
+      SJ.set("stats", std::move(Resp));
     }
     ShardsArr.push(std::move(SJ));
   }
-  R.set("shards", std::move(ShardsArr));
-
-  // Fleet-wide cache effectiveness: with a shared TERRACPP_CACHE_DIR, a
-  // kernel promoted on one shard shows up as jit_cache_hits on every other
-  // shard that compiles the same content hash.
   Value Agg = Value::object();
-  Agg.set("jit_cache_hits", Value::number(Hits));
-  Agg.set("jit_cache_misses", Value::number(Misses));
-  double Total = Hits + Misses;
-  Agg.set("jit_cache_hit_rate", Value::number(Total > 0 ? Hits / Total : 0));
-  Agg.set("compile_requests", Value::number(Compiles));
-  Agg.set("compile_batch_requests", Value::number(Batches));
-  Agg.set("call_requests", Value::number(Calls));
-  Agg.set("requests_received", Value::number(Received));
-  Agg.set("engines_created", Value::number(EnginesCreated));
-  Agg.set("engine_warm_hits", Value::number(WarmHits));
+  for (size_t K = 0; K != std::size(Summed); ++K)
+    Agg.set(Summed[K], Value::number(Sums[K]));
+  double Lookups = Sums[0] + Sums[1];
+  Agg.set("jit_cache_hit_rate",
+          Value::number(Lookups > 0 ? Sums[0] / Lookups : 0));
+
+  Value R = server::okResponse();
+  R.set("fleet", Reg.toJson());
+  R.set("shards", std::move(ShardsArr));
   R.set("aggregate", std::move(Agg));
   return R;
 }
 
 json::Value Router::aggregatedMetrics() {
-  Value R = Value::object();
-  R.set("ok", Value::boolean(true));
-  R.set("fleet", Reg.toJson());
   Value ShardsArr = Value::array();
   for (unsigned I = 0; I != Shards.size(); ++I) {
-    Shard &S = *Shards[I];
     Value SJ = Value::object();
     SJ.set("index", Value::number(I));
-    bool Up = S.Up.load(std::memory_order_acquire);
-    SJ.set("up", Value::boolean(Up));
-    if (Up) {
-      Value Req = Value::object();
-      Req.set("op", Value::string("metrics"));
-      Value Resp = S.Mux.request(std::move(Req), 2000);
-      if (Resp.getBool("ok")) {
-        Resp.remove("id");
-        Resp.remove("trace_id");
-        SJ.set("metrics", std::move(Resp));
-      }
-    }
+    SJ.set("up", Value::boolean(shardUp(I)));
+    Value Resp = askShard(I, server::opRequest("metrics"));
+    if (!Resp.isNull())
+      SJ.set("metrics", std::move(Resp));
     ShardsArr.push(std::move(SJ));
   }
+  Value R = server::okResponse();
+  R.set("fleet", Reg.toJson());
   R.set("shards", std::move(ShardsArr));
   return R;
 }
@@ -978,12 +701,8 @@ json::Value Router::mergedTraceJson() {
                       /*OffsetUs=*/0);
   for (unsigned I = 0; I != Shards.size(); ++I) {
     Shard &S = *Shards[I];
-    if (!S.Up.load(std::memory_order_acquire))
-      continue;
-    Value Req = Value::object();
-    Req.set("op", Value::string("trace_dump"));
-    Value Resp = S.Mux.request(std::move(Req), 2000);
-    if (!Resp.getBool("ok"))
+    Value Resp = askShard(I, server::opRequest("trace_dump"));
+    if (Resp.isNull())
       continue;
     int64_t Off = S.ClockAligned.load(std::memory_order_acquire)
                       ? S.ClockOffsetUs.load(std::memory_order_acquire)
@@ -1012,11 +731,7 @@ json::Value Router::aggregatedMetricsText(const Value &Request) {
   std::vector<std::string> Parts;
   Parts.push_back(telemetry::toPrometheusText(Reg, Labels));
   for (unsigned I = 0; I != Shards.size(); ++I) {
-    Shard &S = *Shards[I];
-    if (!S.Up.load(std::memory_order_acquire))
-      continue;
-    Value Req = Value::object();
-    Req.set("op", Value::string("metrics_text"));
+    Value Req = server::opRequest("metrics_text");
     // The shard stamps its own {process,pid}; the router adds the shard
     // index (plus any client labels) so one scrape distinguishes lanes.
     Value ShardLabels = ClientLabels;
@@ -1024,15 +739,11 @@ json::Value Router::aggregatedMetricsText(const Value &Request) {
       ShardLabels = Value::object();
     ShardLabels.set("shard", Value::string(std::to_string(I)));
     Req.set("labels", std::move(ShardLabels));
-    Value Resp = S.Mux.request(std::move(Req), 2000);
-    if (Resp.getBool("ok")) {
-      std::string Text = Resp.getString("text");
-      if (!Text.empty())
-        Parts.push_back(std::move(Text));
-    }
+    std::string Text = askShard(I, std::move(Req)).getString("text");
+    if (!Text.empty())
+      Parts.push_back(std::move(Text));
   }
-  Value R = Value::object();
-  R.set("ok", Value::boolean(true));
+  Value R = server::okResponse();
   R.set("content_type", Value::string("text/plain; version=0.0.4"));
   R.set("text", Value::string(telemetry::mergeExpositions(Parts)));
   return R;
@@ -1041,16 +752,10 @@ json::Value Router::aggregatedMetricsText(const Value &Request) {
 json::Value Router::aggregatedProfile(const Value &Request) {
   Value Components = Value::object();
   for (unsigned I = 0; I != Shards.size(); ++I) {
-    Shard &S = *Shards[I];
-    if (!S.Up.load(std::memory_order_acquire))
-      continue;
-    Value Req = Value::object();
-    Req.set("op", Value::string("profile"));
+    Value Req = server::opRequest("profile");
     if (const Value *H = Request.get("handle"))
       Req.set("handle", *H);
-    Value Resp = S.Mux.request(std::move(Req), 2000);
-    if (!Resp.getBool("ok"))
-      continue;
+    Value Resp = askShard(I, std::move(Req));
     const Value *C = Resp.get("components");
     if (!C || !C->isObject())
       continue;
@@ -1063,8 +768,7 @@ json::Value Router::aggregatedProfile(const Value &Request) {
       Components.set(M.first + "@" + std::to_string(I), std::move(Entry));
     }
   }
-  Value R = Value::object();
-  R.set("ok", Value::boolean(true));
+  Value R = server::okResponse();
   R.set("version", Value::number(1));
   R.set("components", std::move(Components));
   return R;

@@ -37,12 +37,12 @@
 
 #include "fleet/HashRing.h"
 #include "fleet/MuxClient.h"
+#include "server/FrameService.h"
 #include "support/Json.h"
 #include "support/Subprocess.h"
 #include "support/Telemetry.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -82,7 +82,7 @@ struct RouterConfig {
   std::string TraceOutPath;
 };
 
-class Router {
+class Router : private server::FrameHandler {
 public:
   explicit Router(RouterConfig Config);
   ~Router();
@@ -96,20 +96,20 @@ public:
 
   /// Blocks until shutdown completes (signal, shutdown request, or
   /// requestShutdown()).
-  void wait();
+  void wait() { Core.wait(); }
 
   /// Initiates shutdown from any thread (idempotent). Owned shards get a
   /// shutdown request then SIGTERM; attached shards are left running.
-  void requestShutdown();
+  void requestShutdown() { Core.requestShutdown(); }
 
-  bool running() const { return Started && !ShutdownComplete; }
+  bool running() const { return Core.running(); }
   const RouterConfig &config() const { return Config; }
 
-  /// SIGTERM/SIGINT -> drain, same contract as Server's (separate flag, so
-  /// a router and a server in one process do not consume each other's
-  /// signals — terrad and terrafleet are different binaries anyway).
-  static void installSignalHandlers();
-  static bool signalReceived();
+  /// SIGTERM/SIGINT -> drain, the same handlers as Server's: one signal
+  /// drains every router and server in the process.
+  static void installSignalHandlers() {
+    server::FrameService::installSignalHandlers();
+  }
 
   /// Which shard the ring places \p Key on (a handle / content hash), or
   /// -1 when the ring is empty. Exposed for tests and diagnostics.
@@ -121,6 +121,12 @@ public:
   /// Router-level counters (fleet.*): requests routed/failed, reconnects,
   /// respawns, shards_up gauge, route latency histogram.
   telemetry::Registry &metrics() { return Reg; }
+
+  /// One Perfetto timeline merging the router's own span buffer with every
+  /// up shard's trace_dump, shard timestamps shifted onto the router's
+  /// clock by the ping-estimated offsets. Served for the front-socket
+  /// trace_dump op and written to TraceOutPath at shutdown.
+  json::Value mergedTraceJson();
 
 private:
   struct Shard {
@@ -138,38 +144,29 @@ private:
     std::atomic<bool> ClockAligned{false};
   };
 
-  /// One front-side client connection. Held by shared_ptr from the reader
-  /// thread and every in-flight relay callback; the fd closes when the
-  /// last holder lets go, so a late shard response can never write to a
-  /// recycled fd.
-  struct FrontLink {
-    int Fd = -1;
-    std::mutex WriteM;
-    std::atomic<bool> Closed{false};
-    ~FrontLink();
-  };
-  struct FrontConn {
-    std::shared_ptr<FrontLink> Link;
-    std::thread Reader;
-    std::atomic<bool> Finished{false};
-  };
-
-  void acceptLoop();
+  // FrameHandler: front-socket requests arrive here from the connection
+  // threads; the drain hook winds down relays, the trace and the shards.
+  void onFrame(const std::shared_ptr<server::Link> &L,
+               server::Frame &F) override;
+  void onDrain() override;
   void monitorLoop();
-  void frontLoop(std::shared_ptr<FrontLink> Link);
-  void reapFronts(bool Join);
-  void beginShutdown();
 
   bool spawnShard(unsigned Index, std::string &Err);
   bool connectShard(unsigned Index, unsigned Attempts);
   void onShardLost(unsigned Index);
+  /// Marks a freshly connected shard up and adds it to the ring.
+  void joinRing(unsigned Index);
+  /// Refreshes the fleet.shards_up gauge; returns the count.
+  unsigned countShardsUp();
+  /// One control round trip to an up shard (2 s deadline): the response
+  /// without its id and trace_id, or null when the shard is down or
+  /// answered an error.
+  json::Value askShard(unsigned Index, json::Value Request);
 
-  void routeRequest(const std::shared_ptr<FrontLink> &Link,
-                    json::Value Request, const std::string &Op);
-  void routeBatch(const std::shared_ptr<FrontLink> &Link,
-                  const json::Value &Request);
-  bool relayToFront(const std::shared_ptr<FrontLink> &Link,
-                    json::Value Response, const json::Value &ClientId);
+  void routeRequest(const std::shared_ptr<server::Link> &L,
+                    server::Frame &F);
+  void routeBatch(const std::shared_ptr<server::Link> &L,
+                  const server::Frame &F);
   json::Value aggregatedStats();
   json::Value aggregatedMetrics();
   /// Prometheus exposition: the router's registry plus every up shard's
@@ -181,35 +178,11 @@ private:
   /// offset on the Shard. False when no ping round trip succeeded.
   bool estimateShardClock(unsigned Index);
 
-public:
-  /// One Perfetto timeline merging the router's own span buffer with every
-  /// up shard's trace_dump, shard timestamps shifted onto the router's
-  /// clock by the ping-estimated offsets. Served for the front-socket
-  /// trace_dump op and written to TraceOutPath at shutdown. Public so
-  /// terrafleet/tests can snapshot a live fleet.
-  json::Value mergedTraceJson();
-
-private:
-
   RouterConfig Config;
   std::vector<std::unique_ptr<Shard>> Shards;
 
   std::mutex RingM;
   HashRing Ring;
-
-  int ListenFd = -1;
-  bool Started = false;
-  std::thread Acceptor;
-  std::thread Monitor;
-  std::atomic<bool> StopMonitor{false};
-
-  std::mutex FrontM;
-  std::vector<std::unique_ptr<FrontConn>> Fronts;
-
-  std::atomic<bool> Draining{false};
-  std::atomic<bool> ShutdownComplete{false};
-  std::mutex ShutdownMutex;
-  std::condition_variable ShutdownCV;
 
   telemetry::Registry Reg;
   telemetry::Counter &MRequestsRouted;
@@ -223,7 +196,12 @@ private:
   telemetry::Gauge &MShardsUp;
   telemetry::Histogram &MRouteLatencyUs;
 
-  std::atomic<uint64_t> NextTraceId{1}; ///< For requests without a trace_id.
+  std::atomic<bool> StopMonitor{false};
+  std::thread Monitor;
+
+  /// Front socket, connection threads and drain; declared last so it is
+  /// constructed after (and destroyed before) everything it calls into.
+  server::FrameService Core;
 };
 
 } // namespace fleet

@@ -88,8 +88,7 @@ Value Client::request(const Value &Request, int TimeoutMs) {
 Client::CompileResult Client::compile(const std::string &Source,
                                       const std::string &Name,
                                       int TimeoutMs) {
-  Value Req = Value::object();
-  Req.set("op", Value::string("compile"));
+  Value Req = opRequest("compile");
   Req.set("source", Value::string(Source));
   if (!Name.empty())
     Req.set("name", Value::string(Name));
@@ -122,8 +121,7 @@ Client::CallResult Client::call(const std::string &Handle,
                                 const std::string &Fn,
                                 const std::vector<Value> &Args,
                                 int TimeoutMs) {
-  Value Req = Value::object();
-  Req.set("op", Value::string("call"));
+  Value Req = opRequest("call");
   Req.set("handle", Value::string(Handle));
   Req.set("fn", Value::string(Fn));
   Value ArgArr = Value::array();
@@ -149,20 +147,15 @@ Client::CallResult Client::call(const std::string &Handle,
 }
 
 Value Client::stats(int TimeoutMs) {
-  Value Req = Value::object();
-  Req.set("op", Value::string("stats"));
-  return request(Req, TimeoutMs);
+  return request(opRequest("stats"), TimeoutMs);
 }
 
 Value Client::metrics(int TimeoutMs) {
-  Value Req = Value::object();
-  Req.set("op", Value::string("metrics"));
-  return request(Req, TimeoutMs);
+  return request(opRequest("metrics"), TimeoutMs);
 }
 
 bool Client::ping(int DelayMs, int TimeoutMs) {
-  Value Req = Value::object();
-  Req.set("op", Value::string("ping"));
+  Value Req = opRequest("ping");
   if (DelayMs > 0)
     Req.set("delay_ms", Value::number(DelayMs));
   Value Resp = request(Req, TimeoutMs);
@@ -176,8 +169,6 @@ bool Client::ping(int DelayMs, int TimeoutMs) {
 }
 
 bool Client::shutdownServer() {
-  Value Req = Value::object();
-  Req.set("op", Value::string("shutdown"));
-  Value Resp = request(Req);
+  Value Resp = request(opRequest("shutdown"));
   return !Resp.isNull() && Resp.getBool("ok");
 }

@@ -149,6 +149,18 @@ FrameStatus server::readMessage(int Fd, json::Value &Out, std::string &Err,
   return FrameStatus::OK;
 }
 
+json::Value server::opRequest(const std::string &Op) {
+  json::Value R = json::Value::object();
+  R.set("op", json::Value::string(Op));
+  return R;
+}
+
+json::Value server::okResponse() {
+  json::Value R = json::Value::object();
+  R.set("ok", json::Value::boolean(true));
+  return R;
+}
+
 json::Value server::errorResponse(const std::string &Message,
                                   const std::string &Diagnostics) {
   json::Value R = json::Value::object();

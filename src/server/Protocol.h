@@ -99,6 +99,12 @@ bool writeMessage(int Fd, const json::Value &V);
 FrameStatus readMessage(int Fd, json::Value &Out, std::string &Err,
                         int TimeoutMs = -1);
 
+/// A request object carrying only its "op" (callers add the rest).
+json::Value opRequest(const std::string &Op);
+
+/// The canonical success response, {"ok":true}, for callers to extend.
+json::Value okResponse();
+
 /// Builds the canonical error response.
 json::Value errorResponse(const std::string &Message,
                           const std::string &Diagnostics = "");

@@ -4,18 +4,13 @@
 #include "core/TerraTier.h"
 #include "server/Protocol.h"
 #include "support/ContentHash.h"
+#include "support/EnvParse.h"
 #include "support/Log.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
 #include <cstdlib>
-#include <cstring>
-#include <poll.h>
-#include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 
@@ -26,30 +21,21 @@ using namespace terracpp::server;
 // Config
 //===----------------------------------------------------------------------===//
 
-static unsigned envUnsigned(const char *Name, unsigned Fallback, unsigned Lo,
-                            unsigned Hi) {
-  const char *V = getenv(Name);
-  if (!V)
-    return Fallback;
-  long N = strtol(V, nullptr, 10);
-  if (N < static_cast<long>(Lo) || N > static_cast<long>(Hi))
-    return Fallback;
-  return static_cast<unsigned>(N);
-}
-
 void ServerConfig::resolveFromEnv() {
+  auto Env = [](const char *Name, unsigned Default, unsigned Lo, unsigned Hi) {
+    return static_cast<unsigned>(envcfg::parseUInt(Name, Default, Lo, Hi));
+  };
   if (Workers == 0) {
     unsigned HW = std::thread::hardware_concurrency();
-    Workers = envUnsigned("TERRAD_WORKERS", HW > 2 ? HW : 2, 1, 128);
+    Workers = Env("TERRAD_WORKERS", HW > 2 ? HW : 2, 1, 128);
   }
-  QueueCapacity = envUnsigned("TERRAD_QUEUE", QueueCapacity, 1, 1u << 16);
-  MaxEngines = envUnsigned("TERRAD_MAX_ENGINES", MaxEngines, 1, 1024);
-  RequestTimeoutMs = static_cast<int>(
-      envUnsigned("TERRAD_TIMEOUT_MS", static_cast<unsigned>(RequestTimeoutMs),
-                  1, 3600000));
+  QueueCapacity = Env("TERRAD_QUEUE", QueueCapacity, 1, 1u << 16);
+  MaxEngines = Env("TERRAD_MAX_ENGINES", MaxEngines, 1, 1024);
+  RequestTimeoutMs = static_cast<int>(Env(
+      "TERRAD_TIMEOUT_MS", static_cast<unsigned>(RequestTimeoutMs), 1, 3600000));
   MaxInFlightPerConn =
-      envUnsigned("TERRAD_MAX_INFLIGHT", MaxInFlightPerConn, 1, 1u << 16);
-  SlowRequestMs = static_cast<int>(envUnsigned(
+      Env("TERRAD_MAX_INFLIGHT", MaxInFlightPerConn, 1, 1u << 16);
+  SlowRequestMs = static_cast<int>(Env(
       "TERRAD_SLOW_MS", static_cast<unsigned>(SlowRequestMs), 0, 3600000));
   if (SocketPath.empty()) {
     if (const char *P = getenv("TERRAD_SOCKET"))
@@ -63,50 +49,28 @@ void ServerConfig::resolveFromEnv() {
 // Internal types
 //===----------------------------------------------------------------------===//
 
-/// One queued request. A worker fills Response and flips Done, then pokes
-/// the owning connection's writer thread, which flushes the frame. If the
-/// request's deadline fires first the writer marks the job Abandoned and
-/// answers the client itself; the worker then skips (or finishes silently)
-/// and nobody touches the fd.
+/// One queued request. Exactly one answer goes out: the worker's, when it
+/// marks the job Done first, or the connection thread's timeout, when the
+/// deadline passes first and it marks the job Abandoned (the worker then
+/// skips it, or finishes silently). Both decide under M.
 struct Server::Job {
-  json::Value Request;
-  json::Value Response;
-  std::string Op;          ///< Request op, for per-op latency series.
-  std::string TraceId;     ///< Echoed in the response; spans are tagged.
+  Frame F;                 ///< The request, its op, trace id and client id.
   std::string ParentSpan;  ///< Caller's span ref ("pid-id"); may be empty.
-  json::Value Id;          ///< Client request id (null when absent).
   uint64_t EnqueuedUs = 0; ///< For the queue-wait histogram.
   uint64_t DeadlineUs = 0; ///< Absolute response deadline (monotonic us).
   int TimeoutMs = 0;       ///< For the timeout error message.
-  std::shared_ptr<ConnState> Owner; ///< Connection awaiting the response.
+  std::shared_ptr<Conn> Owner; ///< Connection awaiting the response.
   std::mutex M;
   bool Done = false;
   bool Abandoned = false;
 };
 
-/// Per-connection state shared by the reader thread, the writer thread, and
-/// workers (via Job::Owner). Outlives the Conn entry through shared_ptr so
-/// a worker finishing after the connection died can still notify safely.
-struct Server::ConnState {
-  int Fd = -1;
-  std::mutex M;               ///< Guards Pending + ReaderDone.
-  std::condition_variable CV; ///< Job completed / reader exited.
-  std::deque<std::shared_ptr<Job>> Pending; ///< Submitted, response not sent.
-  bool ReaderDone = false;
-  std::mutex WriteM; ///< Serializes frames: inline replies vs writer thread.
-  std::atomic<bool> WriteFailed{false};
-};
-
-/// One client connection: its socket, the reader thread parsing requests,
-/// and the writer thread flushing completed responses.
-struct Server::Conn {
-  int Fd = -1;
-  std::thread Reader;
-  std::thread Writer;
-  std::shared_ptr<ConnState> State;
-  std::atomic<bool> ReaderFinished{false};
-  std::atomic<bool> WriterFinished{false};
-  bool finished() const { return ReaderFinished && WriterFinished; }
+/// A terrad connection: the Link plus the jobs it still has to answer.
+struct Server::Conn : Link {
+  using Link::Link;
+  std::mutex M;                 ///< Guards Pending.
+  std::condition_variable Idle; ///< A pending job was answered.
+  std::vector<std::shared_ptr<Job>> Pending;
 };
 
 /// One live script universe. Ready/Failed are written under ExecMutex; the
@@ -129,34 +93,6 @@ struct Server::EngineEntry {
   json::Value Warnings = json::Value::array();
   double CompileSeconds = 0;
 };
-
-//===----------------------------------------------------------------------===//
-// Signal plumbing
-//===----------------------------------------------------------------------===//
-
-// Lock-free atomic rather than volatile sig_atomic_t: the flag is written
-// by a signal handler on one thread and read/cleared by the accept loop on
-// another, which needs real inter-thread ordering (lock-free atomics are
-// async-signal-safe).
-static std::atomic<int> GSignalFlag{0};
-static_assert(std::atomic<int>::is_always_lock_free);
-
-static void terradSignalHandler(int) {
-  GSignalFlag.store(1, std::memory_order_relaxed);
-}
-
-void Server::installSignalHandlers() {
-  struct sigaction SA;
-  memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = terradSignalHandler;
-  sigemptyset(&SA.sa_mask);
-  sigaction(SIGTERM, &SA, nullptr);
-  sigaction(SIGINT, &SA, nullptr);
-}
-
-bool Server::signalReceived() {
-  return GSignalFlag.load(std::memory_order_relaxed) != 0;
-}
 
 //===----------------------------------------------------------------------===//
 // Lifecycle
@@ -184,7 +120,9 @@ Server::Server(ServerConfig C)
       MCompileLatencyUs(Reg.histogram("server.op.compile.latency_us")),
       MCallLatencyUs(Reg.histogram("server.op.call.latency_us")),
       MPingLatencyUs(Reg.histogram("server.op.ping.latency_us")),
-      MOtherLatencyUs(Reg.histogram("server.op.other.latency_us")) {
+      MOtherLatencyUs(Reg.histogram("server.op.other.latency_us")),
+      Core(*this, {"server", &MConnectionsAccepted, &MRequestsReceived,
+                   nullptr}) {
   Config.resolveFromEnv();
 }
 
@@ -207,20 +145,19 @@ Server::~Server() {
 }
 
 bool Server::start(std::string &Err) {
-  if (Started) {
+  if (Core.started()) {
     Err = "server already started";
     return false;
   }
-  ListenFd = listenUnix(Config.SocketPath, Config.Backlog, Err);
-  if (ListenFd < 0)
-    return false;
-
-  Workers = std::make_unique<ThreadPool>(Config.Workers);
+  // Workers first: the drain that may follow right after the core starts
+  // joins them.
+  StopWorkers = false;
   for (unsigned I = 0; I != Config.Workers; ++I)
-    Workers->enqueue([this] { workerLoop(); });
-  Acceptor = std::thread([this] { acceptLoop(); });
-  StartTime = std::chrono::steady_clock::now();
-  Started = true;
+    Workers.emplace_back([this] { workerLoop(); });
+  if (!Core.start(Config.SocketPath, Config.Backlog, Err)) {
+    stopWorkers();
+    return false;
+  }
   logging::emit(logging::Level::Info, "server.start",
                 {{"socket", Config.SocketPath},
                  {"workers", std::to_string(Config.Workers)},
@@ -228,107 +165,23 @@ bool Server::start(std::string &Err) {
   return true;
 }
 
-void Server::requestShutdown() {
-  bool Expected = false;
-  if (!Draining.compare_exchange_strong(Expected, true))
-    return;
-  // The accept loop notices Draining within one poll interval and runs the
-  // drain sequence on its own thread; if the server never started there is
-  // nothing to drain.
-  if (!Started)
-    ShutdownComplete = true;
-}
-
-void Server::wait() {
-  if (!Started)
-    return;
-  std::unique_lock<std::mutex> Lock(ShutdownMutex);
-  ShutdownCV.wait(Lock, [&] { return ShutdownComplete.load(); });
-  if (Acceptor.joinable())
-    Acceptor.join();
-}
-
-void Server::acceptLoop() {
-  while (!Draining) {
-    if (signalReceived()) {
-      // Consume the signal so a later server in the same process (tests,
-      // embedding) does not observe a stale flag and drain on startup.
-      GSignalFlag.store(0, std::memory_order_relaxed);
-      requestShutdown();
-    }
-    if (Draining)
-      break;
-    struct pollfd PFd = {ListenFd, POLLIN, 0};
-    int PR = ::poll(&PFd, 1, 100);
-    // Reap every iteration (not just on accept) so a long-idle server does
-    // not hold dead connections' fds and threads until the next client.
-    reapConnections(/*Join=*/false);
-    if (PR < 0) {
-      if (errno == EINTR)
-        continue;
-      requestShutdown();
-      break;
-    }
-    if (PR == 0 || !(PFd.revents & POLLIN))
-      continue;
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0)
-      continue;
-    MConnectionsAccepted.inc();
-    logging::emit(logging::Level::Debug, "server.accept",
-                  {{"fd", std::to_string(Fd)}});
-    auto C = std::make_unique<Conn>();
-    C->Fd = Fd;
-    C->State = std::make_shared<ConnState>();
-    C->State->Fd = Fd;
-    Conn *CP = C.get();
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    Conns.push_back(std::move(C));
-    CP->Reader = std::thread([this, CP] { connectionLoop(CP); });
-    CP->Writer = std::thread([this, CP] {
-      writerLoop(CP->State);
-      CP->WriterFinished = true;
-    });
-  }
-  beginDrain();
-}
-
-void Server::reapConnections(bool Join) {
-  // Move the threads to join out of the lock: a reader being joined must be
-  // able to run to completion without needing ConnMutex (it does not — it
-  // only flips its Finished flag).
-  std::vector<std::unique_ptr<Conn>> Dead;
+void Server::stopWorkers() {
   {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    auto Keep = Conns.begin();
-    for (auto &C : Conns) {
-      if (Join || C->finished())
-        Dead.push_back(std::move(C));
-      else
-        *Keep++ = std::move(C);
-    }
-    Conns.erase(Keep, Conns.end());
+    std::lock_guard<std::mutex> Lock(QueueMutex);
+    StopWorkers = true;
   }
-  for (auto &C : Dead) {
-    if (C->Reader.joinable())
-      C->Reader.join();
-    if (C->Writer.joinable())
-      C->Writer.join();
-    // The fd is closed only here, after both threads are gone, so neither
-    // can ever race a close() with a still-running read/write — and a
-    // recycled fd number can never be shut down by a stale drain.
-    if (C->Fd >= 0)
-      ::close(C->Fd);
-  }
+  QueueCV.notify_all();
+  for (std::thread &W : Workers)
+    W.join();
+  Workers.clear();
 }
 
-void Server::beginDrain() {
-  // 1. Stop feeding the queue (pushJob refuses while Draining) and wait for
-  //    queued + in-flight work to complete. Reader threads flush those
-  //    responses themselves.
+void Server::onDrain() {
+  // Connection threads refuse new jobs while draining; wait until the
+  // queued and executing ones have been answered.
   {
     std::unique_lock<std::mutex> Lock(QueueMutex);
-    QueueCV.wait(Lock, [&] { return Queue.empty() && InFlight == 0; });
+    IdleCV.wait(Lock, [&] { return Queue.empty() && InFlight == 0; });
   }
   MDrainedClean.set(1);
   logging::emit(logging::Level::Info, "server.drain",
@@ -338,45 +191,22 @@ void Server::beginDrain() {
   // a SIGTERM'd terrad leaves a complete, parseable trace file even if the
   // process is killed before its at-exit hooks run.
   trace::Recorder::global().flush();
-  // 2. Wake the workers so the pool can join.
-  QueueCV.notify_all();
-  Workers.reset();
-  // 3. Half-close every connection: pending response writes still succeed,
-  //    blocked readers see EOF and exit.
-  {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (auto &C : Conns)
-      ::shutdown(C->Fd, SHUT_RD);
-  }
-  reapConnections(/*Join=*/true);
-  finishShutdown();
-}
-
-void Server::finishShutdown() {
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  ::unlink(Config.SocketPath.c_str());
-  {
-    std::lock_guard<std::mutex> Lock(ShutdownMutex);
-    ShutdownComplete = true;
-  }
-  ShutdownCV.notify_all();
+  stopWorkers();
 }
 
 //===----------------------------------------------------------------------===//
 // Connection handling
 //===----------------------------------------------------------------------===//
 
+std::shared_ptr<Link> Server::newLink(int Fd) {
+  return std::make_shared<Conn>(Fd);
+}
+
 bool Server::pushJob(const std::shared_ptr<Job> &J) {
-  J->EnqueuedUs = telemetry::nowMicros();
-  if (J->TimeoutMs > 0)
-    J->DeadlineUs = J->EnqueuedUs + static_cast<uint64_t>(J->TimeoutMs) * 1000;
   uint64_t Depth;
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
-    if (Draining || Queue.size() >= Config.QueueCapacity)
+    if (Core.draining() || Queue.size() >= Config.QueueCapacity)
       return false;
     Queue.push_back(J);
     Depth = Queue.size() + InFlight;
@@ -388,7 +218,7 @@ bool Server::pushJob(const std::shared_ptr<Job> &J) {
 
 std::shared_ptr<Server::Job> Server::popJob() {
   std::unique_lock<std::mutex> Lock(QueueMutex);
-  QueueCV.wait(Lock, [&] { return !Queue.empty() || Draining; });
+  QueueCV.wait(Lock, [&] { return !Queue.empty() || StopWorkers; });
   if (Queue.empty())
     return nullptr;
   std::shared_ptr<Job> J = Queue.front();
@@ -405,7 +235,7 @@ void Server::workerLoop() {
     bool Execute;
     {
       std::lock_guard<std::mutex> Lock(J->M);
-      Execute = !J->Abandoned;
+      Execute = !J->Abandoned && !J->Owner->closed();
     }
     json::Value Response;
     uint64_t ExecUs = 0;
@@ -415,15 +245,15 @@ void Server::workerLoop() {
       // tagged with the request's trace id and the outermost one parents
       // to the router's route.hop span. Costs one relaxed load when
       // tracing is off (RequestContext and TraceSpan are both gated).
-      trace::RequestContext Ctx(J->TraceId, J->ParentSpan);
+      trace::RequestContext Ctx(J->F.TraceId, J->ParentSpan);
       trace::Recorder::global().addInterval("queue_wait", "server",
                                             J->EnqueuedUs, DequeuedUs);
       {
         trace::TraceSpan Span("server.op", "server");
-        Span.arg("op", J->Op);
-        Span.arg("trace_id", J->TraceId);
-        telemetry::ScopedTimerUs Latency(opLatencyHistogram(J->Op));
-        Response = dispatch(J->Request);
+        Span.arg("op", J->F.Op);
+        Span.arg("trace_id", J->F.TraceId);
+        telemetry::ScopedTimerUs Latency(opLatencyHistogram(J->F.Op));
+        Response = dispatch(J->F.Request);
       }
       ExecUs = telemetry::nowMicros() - DequeuedUs;
     }
@@ -434,289 +264,160 @@ void Server::workerLoop() {
       // logs links straight to its spans in the merged fleet trace.
       MSlowRequests.inc();
       logging::emit(logging::Level::Warn, "server.slow_request",
-                    {{"op", J->Op},
-                     {"trace_id", J->TraceId},
+                    {{"op", J->F.Op},
+                     {"trace_id", J->F.TraceId},
                      {"total_us", std::to_string(QueueWaitUs + ExecUs)},
                      {"queue_wait_us", std::to_string(QueueWaitUs)},
                      {"exec_us", std::to_string(ExecUs)},
                      {"threshold_ms", std::to_string(Config.SlowRequestMs)}});
     }
-    {
-      std::lock_guard<std::mutex> Lock(J->M);
-      J->Response = std::move(Response);
-      J->Done = true;
-    }
-    // Wake the owning connection's writer. The empty lock of Owner->M
-    // pairs with the writer's predicate-check-then-wait: without it the
-    // notify could land between the writer scanning Pending (job not Done
-    // yet) and blocking on CV, and be lost.
-    if (std::shared_ptr<ConnState> Owner = J->Owner) {
-      { std::lock_guard<std::mutex> Lock(Owner->M); }
-      Owner->CV.notify_all();
-    }
-    // beginDrain waits on (queue empty && InFlight == 0); decrement under
-    // QueueMutex so the state change cannot slip between its predicate
-    // check and its sleep.
+    finishJob(*J, std::move(Response));
+    // The drain waits for (queue empty && InFlight == 0); decide under
+    // QueueMutex so the change cannot slip between its check and its sleep.
+    bool Idle;
     {
       std::lock_guard<std::mutex> Lock(QueueMutex);
-      --InFlight;
+      Idle = --InFlight == 0 && Queue.empty();
     }
-    QueueCV.notify_all();
+    if (Idle)
+      IdleCV.notify_all();
   }
 }
 
-/// Stamps the members every response carries: protocol version, trace id,
-/// and — when the request supplied one — the correlation id.
-static void decorateResponse(json::Value &R, const std::string &TraceId,
-                             const json::Value &Id) {
-  R.set("v", json::Value::number(ProtocolVersion));
-  R.set("trace_id", json::Value::string(TraceId));
-  if (!Id.isNull())
-    R.set("id", Id);
-}
-
-void Server::connectionLoop(Conn *C) {
-  int Fd = C->Fd;
-  std::shared_ptr<ConnState> St = C->State;
-  // Inline replies (control ops, rejects) share the fd with the writer
-  // thread; every frame goes out under WriteM.
-  auto writeInline = [&](json::Value R, const std::string &TraceId,
-                         const json::Value &Id) {
-    decorateResponse(R, TraceId, Id);
-    std::lock_guard<std::mutex> WL(St->WriteM);
-    if (St->WriteFailed.load(std::memory_order_relaxed))
-      return false;
-    if (!writeMessage(Fd, R)) {
-      St->WriteFailed.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
-  };
-
-  while (true) {
-    json::Value Request;
-    std::string Err;
-    FrameStatus FSt = readMessage(Fd, Request, Err);
-    if (FSt == FrameStatus::Closed || FSt == FrameStatus::Timeout)
-      break;
-    if (FSt == FrameStatus::Error) {
-      // Malformed JSON gets a reply; a broken frame/socket does not.
-      if (!Err.empty() && Err != "frame read failed") {
-        std::lock_guard<std::mutex> WL(St->WriteM);
-        writeMessage(Fd, errorResponse("bad request: " + Err));
-      }
-      break;
-    }
-    MRequestsReceived.inc();
-
-    std::string Op = Request.getString("op");
-    // Every response carries the request's trace_id (client-supplied, or
-    // generated here) so clients can correlate replies and server-side
-    // spans with their own traces.
-    std::string TraceId = Request.getString("trace_id");
-    if (TraceId.empty()) {
-      // One process-wide prefix; a getpid() syscall per request would be
-      // measurable against the ~15us warm-call round trip.
-      static const std::string PidPrefix = std::to_string(::getpid()) + "-";
-      TraceId = PidPrefix + std::to_string(NextTraceId.fetch_add(1));
-    }
-    json::Value Id;
-    if (const json::Value *IdV = Request.get("id"))
-      Id = *IdV;
-
-    // Version gate: a peer speaking another protocol revision gets a
-    // structured refusal it can render, instead of a response whose shape
-    // it may misread. Non-object requests fall through to dispatch's
-    // existing "must be a JSON object" answer.
-    if (Request.isObject()) {
-      const json::Value *V = Request.get("v");
-      int Got = (V && V->isNumber()) ? static_cast<int>(V->asNumber()) : 0;
-      if (Got != ProtocolVersion) {
-        json::Value R = errorResponseCode(
-            "protocol_mismatch",
-            "protocol version mismatch: server speaks v" +
-                std::to_string(ProtocolVersion) + ", request carried " +
-                (V ? "v" + std::to_string(Got) : std::string("no version")));
-        R.set("expected", json::Value::number(ProtocolVersion));
-        R.set("got", json::Value::number(Got));
-        if (!writeInline(std::move(R), TraceId, Id))
-          break;
-        continue;
-      }
-    }
-
-    // Control-plane ops skip the queue: stats/metrics must observe a
-    // saturated server, and shutdown must work when the queue is wedged.
-    if (Op == "stats") {
-      if (!writeInline(statsJson(), TraceId, Id))
-        break;
-      continue;
-    }
-    if (Op == "metrics") {
-      if (!writeInline(metricsJson(), TraceId, Id))
-        break;
-      continue;
-    }
-    if (Op == "metrics_text") {
-      if (!writeInline(metricsTextJson(Request), TraceId, Id))
-        break;
-      continue;
-    }
-    if (Op == "trace_dump") {
-      if (!writeInline(traceDumpJson(), TraceId, Id))
-        break;
-      continue;
-    }
-    if (Op == "profile") {
-      if (!writeInline(profileOpJson(Request), TraceId, Id))
-        break;
-      continue;
-    }
-    if (Op == "shutdown") {
-      json::Value R = json::Value::object();
-      R.set("ok", json::Value::boolean(true));
-      R.set("draining", json::Value::boolean(true));
-      writeInline(std::move(R), TraceId, Id);
-      requestShutdown();
-      continue; // Reader exits when drain half-closes the socket.
-    }
-
-    // Pipelining window: bound the per-connection backlog so one client
-    // cannot queue unbounded work (and memory) behind a single socket.
-    {
-      std::lock_guard<std::mutex> Lock(St->M);
-      if (St->Pending.size() >= Config.MaxInFlightPerConn) {
-        MRequestsRejected.inc();
-        json::Value R = errorResponseCode(
-            "overloaded", "too many in-flight requests on this connection");
-        if (!writeInline(std::move(R), TraceId, Id))
-          break;
-        continue;
-      }
-    }
-
-    auto J = std::make_shared<Job>();
-    J->Request = Request;
-    J->Op = Op;
-    J->TraceId = TraceId;
-    J->ParentSpan = Request.getString("parent_span");
-    J->Id = Id;
-    J->Owner = St;
-    J->TimeoutMs = Config.RequestTimeoutMs;
-    if (const json::Value *T = Request.get("timeout_ms"))
-      if (T->isNumber() && T->asNumber() >= 1)
-        J->TimeoutMs = static_cast<int>(T->asNumber());
-
-    if (!pushJob(J)) {
-      const char *Why = Draining ? "server shutting down"
-                                 : "server overloaded: request queue full";
-      MRequestsRejected.inc();
-      logging::emit(logging::Level::Warn, "server.reject",
-                    {{"op", Op}, {"trace_id", TraceId}, {"why", Why}});
-      if (!writeInline(errorResponseCode("overloaded", Why), TraceId, Id))
-        break;
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> Lock(St->M);
-      St->Pending.push_back(J);
-    }
-    St->CV.notify_all();
-  }
+void Server::finishJob(Job &J, json::Value Response) {
+  // A null Response means the job never ran (its link had closed).
+  bool Answer;
   {
-    std::lock_guard<std::mutex> Lock(St->M);
-    St->ReaderDone = true;
+    std::lock_guard<std::mutex> Lock(J.M);
+    Answer = !J.Abandoned && !Response.isNull();
+    J.Done = true;
   }
-  St->CV.notify_all();
-  C->ReaderFinished = true;
+  // Written outside J.M: the connection thread's deadline sweep takes J.M,
+  // and a write blocked on a full socket must not stall it.
+  if (Answer) {
+    MRequestsCompleted.inc();
+    if (!Response.getBool("ok"))
+      MRequestsFailed.inc();
+    J.Owner->send(std::move(Response), J.F.TraceId, J.F.Id);
+  }
+  Conn &C = *J.Owner;
+  {
+    std::lock_guard<std::mutex> Lock(C.M);
+    auto It = std::find_if(C.Pending.begin(), C.Pending.end(),
+                           [&](const std::shared_ptr<Job> &P) {
+                             return P.get() == &J;
+                           });
+    if (It != C.Pending.end())
+      C.Pending.erase(It);
+  }
+  C.Idle.notify_all();
 }
 
-void Server::writerLoop(std::shared_ptr<ConnState> St) {
-  std::unique_lock<std::mutex> Lock(St->M);
-  while (true) {
-    // Pick the first pending job that is done or past its deadline.
-    std::shared_ptr<Job> Ready;
-    uint64_t NearestDeadline = 0;
-    uint64_t Now = telemetry::nowMicros();
-    for (auto It = St->Pending.begin(); It != St->Pending.end(); ++It) {
-      std::shared_ptr<Job> &J = *It;
-      bool Done;
-      {
-        std::lock_guard<std::mutex> JL(J->M);
-        Done = J->Done;
-      }
-      if (Done || (J->DeadlineUs && Now >= J->DeadlineUs)) {
-        Ready = J;
-        St->Pending.erase(It);
-        break;
-      }
-      if (J->DeadlineUs &&
-          (NearestDeadline == 0 || J->DeadlineUs < NearestDeadline))
-        NearestDeadline = J->DeadlineUs;
-    }
+void Server::onFrame(const std::shared_ptr<Link> &L, Frame &F) {
+  // Control-plane ops skip the queue: stats/metrics must observe a
+  // saturated server.
+  const std::string &Op = F.Op;
+  json::Value R;
+  if (Op == "stats")
+    R = statsJson();
+  else if (Op == "metrics")
+    R = metricsJson();
+  else if (Op == "metrics_text")
+    R = metricsTextJson(F.Request);
+  else if (Op == "trace_dump")
+    R = traceDumpJson();
+  else if (Op == "profile")
+    R = profileOpJson(F.Request);
+  if (!R.isNull()) {
+    L->send(std::move(R), F.TraceId, F.Id);
+    return;
+  }
 
-    if (!Ready) {
-      if (St->ReaderDone && St->Pending.empty())
-        break;
-      if (St->WriteFailed.load(std::memory_order_relaxed)) {
-        // Responses can no longer be delivered; abandon outstanding work
-        // so workers skip it, and wait only for the reader to notice.
-        for (auto &J : St->Pending) {
-          std::lock_guard<std::mutex> JL(J->M);
-          J->Abandoned = true;
+  auto C = std::static_pointer_cast<Conn>(L);
+  auto J = std::make_shared<Job>();
+  J->ParentSpan = F.Request.getString("parent_span");
+  J->Owner = C;
+  J->TimeoutMs = F.timeoutMs(Config.RequestTimeoutMs);
+  J->EnqueuedUs = telemetry::nowMicros();
+  if (J->TimeoutMs > 0)
+    J->DeadlineUs = J->EnqueuedUs + static_cast<uint64_t>(J->TimeoutMs) * 1000;
+  J->F = std::move(F);
+
+  // Pipelining window: bound the per-connection backlog so one client
+  // cannot queue unbounded work (and memory) behind a single socket. The
+  // job is registered before it is queued, so a worker finishing it at
+  // once always finds it.
+  const char *Why = nullptr;
+  {
+    std::lock_guard<std::mutex> Lock(C->M);
+    if (C->Pending.size() >= Config.MaxInFlightPerConn)
+      Why = "too many in-flight requests on this connection";
+    else
+      C->Pending.push_back(J);
+  }
+  if (!Why && !pushJob(J)) {
+    Why = Core.draining() ? "server shutting down"
+                          : "server overloaded: request queue full";
+    logging::emit(logging::Level::Warn, "server.reject",
+                  {{"op", J->F.Op}, {"trace_id", J->F.TraceId}, {"why", Why}});
+    std::lock_guard<std::mutex> Lock(C->M);
+    C->Pending.pop_back();
+  }
+  if (Why) {
+    MRequestsRejected.inc();
+    L->send(errorResponseCode("overloaded", Why), J->F.TraceId, J->F.Id);
+  }
+}
+
+uint64_t Server::expire(Link &L) {
+  auto &C = static_cast<Conn &>(L);
+  std::vector<std::shared_ptr<Job>> Expired;
+  uint64_t Nearest = 0;
+  uint64_t Now = telemetry::nowMicros();
+  {
+    std::lock_guard<std::mutex> Lock(C.M);
+    for (auto It = C.Pending.begin(); It != C.Pending.end();) {
+      Job &J = **It;
+      if (J.DeadlineUs && Now >= J.DeadlineUs) {
+        std::lock_guard<std::mutex> JL(J.M);
+        if (!J.Done) {
+          J.Abandoned = true;
+          Expired.push_back(*It);
         }
-        St->Pending.clear();
-        St->CV.wait(Lock);
+        It = C.Pending.erase(It);
         continue;
       }
-      if (NearestDeadline) {
-        uint64_t Wait = NearestDeadline > Now ? NearestDeadline - Now : 1;
-        St->CV.wait_for(Lock, std::chrono::microseconds(Wait));
-      } else {
-        St->CV.wait(Lock);
-      }
-      continue;
+      if (J.DeadlineUs && (Nearest == 0 || J.DeadlineUs < Nearest))
+        Nearest = J.DeadlineUs;
+      ++It;
     }
-
-    Lock.unlock();
-    json::Value Response;
-    bool TimedOut = false;
-    {
-      std::lock_guard<std::mutex> JL(Ready->M);
-      if (Ready->Done) {
-        Response = std::move(Ready->Response);
-      } else {
-        Ready->Abandoned = true;
-        TimedOut = true;
-      }
-    }
-    if (TimedOut) {
-      Response = errorResponseCode("timeout",
-                                   "request timed out after " +
-                                       std::to_string(Ready->TimeoutMs) +
-                                       " ms");
-      MRequestsTimedOut.inc();
-      logging::emit(logging::Level::Warn, "server.timeout",
-                    {{"op", Ready->Op},
-                     {"trace_id", Ready->TraceId},
-                     {"timeout_ms", std::to_string(Ready->TimeoutMs)}});
-    } else {
-      MRequestsCompleted.inc();
-      if (!Response.getBool("ok"))
-        MRequestsFailed.inc();
-    }
-    decorateResponse(Response, Ready->TraceId, Ready->Id);
-    {
-      std::lock_guard<std::mutex> WL(St->WriteM);
-      if (!St->WriteFailed.load(std::memory_order_relaxed) &&
-          !writeMessage(St->Fd, Response)) {
-        St->WriteFailed.store(true, std::memory_order_relaxed);
-        // Wake the reader if it is blocked mid-poll on a half-dead peer.
-        ::shutdown(St->Fd, SHUT_RD);
-      }
-    }
-    Lock.lock();
   }
+  for (const std::shared_ptr<Job> &J : Expired) {
+    MRequestsTimedOut.inc();
+    logging::emit(logging::Level::Warn, "server.timeout",
+                  {{"op", J->F.Op},
+                   {"trace_id", J->F.TraceId},
+                   {"timeout_ms", std::to_string(J->TimeoutMs)}});
+    C.send(errorResponseCode("timeout", "request timed out after " +
+                                            std::to_string(J->TimeoutMs) +
+                                            " ms"),
+           J->F.TraceId, J->F.Id);
+  }
+  return Nearest;
+}
+
+bool Server::awaitIdle(Link &L, uint64_t DeadlineUs) {
+  auto &C = static_cast<Conn &>(L);
+  std::unique_lock<std::mutex> Lock(C.M);
+  auto Idle = [&] { return C.Pending.empty(); };
+  if (DeadlineUs == 0) {
+    C.Idle.wait(Lock, Idle);
+    return true;
+  }
+  uint64_t Now = telemetry::nowMicros();
+  if (DeadlineUs > Now)
+    C.Idle.wait_for(Lock, std::chrono::microseconds(DeadlineUs - Now), Idle);
+  return Idle();
 }
 
 //===----------------------------------------------------------------------===//
@@ -724,8 +425,6 @@ void Server::writerLoop(std::shared_ptr<ConnState> St) {
 //===----------------------------------------------------------------------===//
 
 json::Value Server::dispatch(const json::Value &Request) {
-  if (!Request.isObject())
-    return errorResponse("request must be a JSON object");
   std::string Op = Request.getString("op");
   if (Op == "compile")
     return handleCompile(Request);
@@ -760,8 +459,7 @@ json::Value Server::handleCompileBatch(const json::Value &Request) {
     }
     Results.push(handleCompile(S));
   }
-  json::Value R = json::Value::object();
-  R.set("ok", json::Value::boolean(true));
+  json::Value R = okResponse();
   R.set("results", std::move(Results));
   return R;
 }
@@ -771,8 +469,7 @@ json::Value Server::handlePing(const json::Value &Request) {
   if (DelayMs > 0)
     std::this_thread::sleep_for(
         std::chrono::milliseconds(static_cast<long>(DelayMs)));
-  json::Value R = json::Value::object();
-  R.set("ok", json::Value::boolean(true));
+  json::Value R = okResponse();
   // The server's monotonic microsecond clock, sampled as close to the
   // response as possible. A pinging router estimates the clock offset as
   // mono_us - (t_send + t_recv)/2 and uses it to align this process's
@@ -843,9 +540,8 @@ Server::obtainEngine(const std::string &Hash, const std::string &Source,
 
   Timer T;
   auto E = std::make_unique<Engine>();
-  bool OK = E->run(Source, Name.empty() ? std::string("<terrad>") : Name);
-  std::string Diagnostics = E->errors();
-  if (!OK) {
+  auto Fail = [&](const char *Fallback) {
+    std::string Diagnostics = E->errors();
     Entry->Failed = true;
     Entry->FailDiagnostics = Diagnostics;
     std::lock_guard<std::mutex> Lock(EnginesMutex);
@@ -853,9 +549,11 @@ Server::obtainEngine(const std::string &Hash, const std::string &Source,
     Engines.erase(Hash);
     LruOrder.remove(Hash);
     Sources.erase(Hash);
-    Error = Diagnostics.empty() ? "script evaluation failed" : Diagnostics;
+    Error = Diagnostics.empty() ? Fallback : Diagnostics;
     return nullptr;
-  }
+  };
+  if (!E->run(Source, Name.empty() ? std::string("<terrad>") : Name))
+    return Fail("script evaluation failed");
   Entry->Functions = E->terraFunctionNames();
   // Compile every terra function now (batched, through the content-
   // addressed cache) so the handle returned to the client is ready to call
@@ -865,17 +563,8 @@ Server::obtainEngine(const std::string &Hash, const std::string &Source,
   for (const std::string &FnName : Entry->Functions)
     if (TerraFunction *F = E->terraFunction(FnName))
       Fns.push_back(F);
-  if (!Fns.empty() && !E->compileAll(Fns)) {
-    Diagnostics = E->errors();
-    Entry->Failed = true;
-    Entry->FailDiagnostics = Diagnostics;
-    std::lock_guard<std::mutex> Lock(EnginesMutex);
-    Engines.erase(Hash);
-    LruOrder.remove(Hash);
-    Sources.erase(Hash);
-    Error = Diagnostics.empty() ? "native compilation failed" : Diagnostics;
-    return nullptr;
-  }
+  if (!Fns.empty() && !E->compileAll(Fns))
+    return Fail("native compilation failed");
   // Surface static-analysis warnings (the pipeline ran terracheck during
   // compileAll) so clients see lint findings for warm and cold hits alike.
   for (const Diagnostic &D : E->diags().diagnostics()) {
@@ -921,8 +610,7 @@ json::Value Server::handleCompile(const json::Value &Request) {
   if (Warm)
     MEngineWarmHits.inc();
 
-  json::Value R = json::Value::object();
-  R.set("ok", json::Value::boolean(true));
+  json::Value R = okResponse();
   R.set("handle", json::Value::string(Hash));
   R.set("warm", json::Value::boolean(Warm));
   R.set("seconds", json::Value::number(Entry->CompileSeconds));
@@ -1006,8 +694,7 @@ json::Value Server::handleCall(const json::Value &Request) {
     return errorResponse("call to '" + FnName + "' failed", Diagnostics);
   }
 
-  json::Value R = json::Value::object();
-  R.set("ok", json::Value::boolean(true));
+  json::Value R = okResponse();
   // Which execution tier served the call: 0 = bytecode VM, 1 = native,
   // 2 = baseline JIT.
   // Absent when the call never went through an entry thunk (pure Lua).
@@ -1031,6 +718,17 @@ json::Value Server::handleCall(const json::Value &Request) {
 // Stats
 //===----------------------------------------------------------------------===//
 
+std::vector<std::pair<std::string, std::shared_ptr<Server::EngineEntry>>>
+Server::readyEngines(const std::string &Handle) const {
+  std::vector<std::pair<std::string, std::shared_ptr<EngineEntry>>> Out;
+  std::lock_guard<std::mutex> Lock(EnginesMutex);
+  for (const auto &E : Engines)
+    if ((Handle.empty() || E.first == Handle) &&
+        E.second->Ready.load(std::memory_order_acquire))
+      Out.emplace_back(E.first, E.second);
+  return Out;
+}
+
 Server::Stats Server::stats() const {
   Stats S;
   S.ConnectionsAccepted = MConnectionsAccepted.value();
@@ -1048,10 +746,7 @@ Server::Stats Server::stats() const {
   S.EngineRecreated = MEngineRecreated.value();
   S.QueueDepthHWM = static_cast<uint64_t>(MQueueDepthHwm.value());
   S.DrainedClean = MDrainedClean.value() != 0;
-  if (Started)
-    S.UptimeSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - StartTime)
-                          .count();
+  S.UptimeSeconds = Core.uptimeSeconds();
   {
     std::lock_guard<std::mutex> Lock(EnginesMutex);
     S.EnginesLive = Engines.size();
@@ -1061,8 +756,7 @@ Server::Stats Server::stats() const {
 
 json::Value Server::statsJson() {
   Stats S = stats();
-  json::Value R = json::Value::object();
-  R.set("ok", json::Value::boolean(true));
+  json::Value R = okResponse();
   auto N = [](uint64_t V) { return json::Value::number(static_cast<double>(V)); };
   R.set("connections_accepted", N(S.ConnectionsAccepted));
   R.set("requests_received", N(S.RequestsReceived));
@@ -1092,47 +786,31 @@ json::Value Server::statsJson() {
   R.set("max_engines", json::Value::number(Config.MaxEngines));
   // Per-op latency snapshots ride along so `stats` alone is enough for a
   // quick health check; the `metrics` op returns the full registries.
+  // The series are exactly those opLatencyHistogram() selects.
   json::Value Ops = json::Value::object();
-  Reg.forEachHistogram([&](const std::string &Name,
-                           const telemetry::Histogram &H) {
-    const std::string Prefix = "server.op.";
-    const std::string Suffix = ".latency_us";
-    if (Name.size() > Prefix.size() + Suffix.size() &&
-        Name.compare(0, Prefix.size(), Prefix) == 0 &&
-        Name.compare(Name.size() - Suffix.size(), Suffix.size(), Suffix) == 0)
-      Ops.set(Name.substr(Prefix.size(),
-                          Name.size() - Prefix.size() - Suffix.size()),
-              H.snapshot().toJson());
-  });
+  Ops.set("call", MCallLatencyUs.snapshot().toJson());
+  Ops.set("compile", MCompileLatencyUs.snapshot().toJson());
+  Ops.set("other", MOtherLatencyUs.snapshot().toJson());
+  Ops.set("ping", MPingLatencyUs.snapshot().toJson());
   R.set("op_latency_us", std::move(Ops));
   // Tiered-execution state summed across live, ready engines: how many
   // functions are still on the tier-0 VM, how many were promoted to
   // native, and how many promotions are queued behind the compile worker.
   uint64_t Tier0 = 0, Promoted = 0, Backlog = 0;
   uint64_t CacheHits = 0, CacheMisses = 0;
-  {
-    std::vector<std::shared_ptr<EngineEntry>> Live;
-    {
-      std::lock_guard<std::mutex> Lock(EnginesMutex);
-      for (const auto &E : Engines)
-        Live.push_back(E.second);
+  for (const auto &[Hash, Entry] : readyEngines()) {
+    if (TierManager *TM = Entry->E->compiler().tierManager()) {
+      TierManager::Snapshot Snap = TM->snapshot();
+      Tier0 += Snap.Tier0Functions;
+      Promoted += Snap.PromotedFunctions;
+      Backlog += Snap.PromotionBacklog;
     }
-    for (const auto &Entry : Live)
-      if (Entry->Ready.load(std::memory_order_acquire)) {
-        if (TierManager *TM = Entry->E->compiler().tierManager()) {
-          TierManager::Snapshot Snap = TM->snapshot();
-          Tier0 += Snap.Tier0Functions;
-          Promoted += Snap.PromotedFunctions;
-          Backlog += Snap.PromotionBacklog;
-        }
-        // Disk-cache effectiveness summed across live engines: in a fleet
-        // sharing TERRACPP_CACHE_DIR, hits here on one shard for sources
-        // first compiled on another prove cross-shard artifact reuse.
-        telemetry::Registry &JitReg =
-            Entry->E->compiler().jit().metrics();
-        CacheHits += JitReg.counter("jit.cache.hits").value();
-        CacheMisses += JitReg.counter("jit.cache.misses").value();
-      }
+    // Disk-cache effectiveness summed across live engines: in a fleet
+    // sharing TERRACPP_CACHE_DIR, hits here on one shard for sources first
+    // compiled on another prove cross-shard artifact reuse.
+    telemetry::Registry &JitReg = Entry->E->compiler().jit().metrics();
+    CacheHits += JitReg.counter("jit.cache.hits").value();
+    CacheMisses += JitReg.counter("jit.cache.misses").value();
   }
   R.set("tier0_functions", N(Tier0));
   R.set("promoted_functions", N(Promoted));
@@ -1143,46 +821,35 @@ json::Value Server::statsJson() {
 }
 
 json::Value Server::metricsJson() {
-  json::Value R = json::Value::object();
-  R.set("ok", json::Value::boolean(true));
+  json::Value R = okResponse();
   R.set("uptime_seconds", json::Value::number(stats().UptimeSeconds));
   R.set("server", Reg.toJson());
   R.set("process", telemetry::Registry::global().toJson());
-  // Each ready engine's JIT registry, keyed by script handle. ExecMutex is
-  // not needed: registries are internally thread-safe, and Ready entries
-  // never lose their engine while we hold the shared_ptr.
-  std::vector<std::pair<std::string, std::shared_ptr<EngineEntry>>> Live;
-  {
-    std::lock_guard<std::mutex> Lock(EnginesMutex);
-    for (const auto &E : Engines)
-      Live.emplace_back(E.first, E.second);
-  }
+  // Each ready engine's JIT registry, keyed by script handle.
   json::Value Jit = json::Value::object();
-  for (const auto &E : Live)
-    if (E.second->Ready.load(std::memory_order_acquire)) {
-      json::Value EngineJson =
-          E.second->E->compiler().jit().metrics().toJson();
-      // Tiered-execution snapshot for this engine (only present when the
-      // engine runs the auto tier policy).
-      if (TierManager *TM = E.second->E->compiler().tierManager()) {
-        TierManager::Snapshot Snap = TM->snapshot();
-        json::Value Tier = json::Value::object();
-        auto N = [](uint64_t V) {
-          return json::Value::number(static_cast<double>(V));
-        };
-        Tier.set("tier0_functions", N(Snap.Tier0Functions));
-        Tier.set("promoted_functions", N(Snap.PromotedFunctions));
-        Tier.set("promotion_backlog", N(Snap.PromotionBacklog));
-        Tier.set("promotions", N(Snap.Promotions));
-        Tier.set("promotion_failures", N(Snap.PromotionFailures));
-        Tier.set("tier0_calls", N(Snap.Tier0Calls));
-        Tier.set("tier1_calls", N(Snap.Tier1Calls));
-        Tier.set("baseline_calls", N(Snap.BaselineCalls));
-        Tier.set("cc_unavailable", N(Snap.CcUnavailable));
-        EngineJson.set("tier", std::move(Tier));
-      }
-      Jit.set(E.first, std::move(EngineJson));
+  for (const auto &[Hash, Entry] : readyEngines()) {
+    json::Value EngineJson = Entry->E->compiler().jit().metrics().toJson();
+    // Tiered-execution snapshot for this engine (only present when the
+    // engine runs the auto tier policy).
+    if (TierManager *TM = Entry->E->compiler().tierManager()) {
+      TierManager::Snapshot Snap = TM->snapshot();
+      json::Value Tier = json::Value::object();
+      auto N = [](uint64_t V) {
+        return json::Value::number(static_cast<double>(V));
+      };
+      Tier.set("tier0_functions", N(Snap.Tier0Functions));
+      Tier.set("promoted_functions", N(Snap.PromotedFunctions));
+      Tier.set("promotion_backlog", N(Snap.PromotionBacklog));
+      Tier.set("promotions", N(Snap.Promotions));
+      Tier.set("promotion_failures", N(Snap.PromotionFailures));
+      Tier.set("tier0_calls", N(Snap.Tier0Calls));
+      Tier.set("tier1_calls", N(Snap.Tier1Calls));
+      Tier.set("baseline_calls", N(Snap.BaselineCalls));
+      Tier.set("cc_unavailable", N(Snap.CcUnavailable));
+      EngineJson.set("tier", std::move(Tier));
     }
+    Jit.set(Hash, std::move(EngineJson));
+  }
   R.set("engines", std::move(Jit));
   return R;
 }
@@ -1212,34 +879,28 @@ json::Value Server::metricsTextJson(const json::Value &Request) {
         .set(static_cast<int64_t>(Queue.size() + InFlight));
   }
 
-  std::vector<std::pair<std::string, std::shared_ptr<EngineEntry>>> Live;
   {
     std::lock_guard<std::mutex> Lock(EnginesMutex);
     Reg.gauge("server.engines_live").set(static_cast<int64_t>(Engines.size()));
-    Reg.gauge("server.engines_max")
-        .set(static_cast<int64_t>(Config.MaxEngines));
-    for (const auto &E : Engines)
-      Live.emplace_back(E.first, E.second);
   }
+  Reg.gauge("server.engines_max").set(static_cast<int64_t>(Config.MaxEngines));
 
   std::vector<std::string> Parts;
   Parts.push_back(telemetry::toPrometheusText(Reg, Labels));
   Parts.push_back(
       telemetry::toPrometheusText(telemetry::Registry::global(), Labels));
-  for (const auto &E : Live)
-    if (E.second->Ready.load(std::memory_order_acquire)) {
-      // Refresh the per-function profile gauges so the exposition carries
-      // current call/back-edge counts and resident tiers.
-      if (TierManager *TM = E.second->E->compiler().tierManager())
-        TM->profileJson();
-      std::vector<telemetry::PromLabel> EngineLabels = Labels;
-      EngineLabels.emplace_back("engine", E.first);
-      Parts.push_back(telemetry::toPrometheusText(
-          E.second->E->compiler().jit().metrics(), EngineLabels));
-    }
+  for (const auto &[Hash, Entry] : readyEngines()) {
+    // Refresh the per-function profile gauges so the exposition carries
+    // current call/back-edge counts and resident tiers.
+    if (TierManager *TM = Entry->E->compiler().tierManager())
+      TM->profileJson();
+    std::vector<telemetry::PromLabel> EngineLabels = Labels;
+    EngineLabels.emplace_back("engine", Hash);
+    Parts.push_back(telemetry::toPrometheusText(
+        Entry->E->compiler().jit().metrics(), EngineLabels));
+  }
 
-  json::Value R = json::Value::object();
-  R.set("ok", json::Value::boolean(true));
+  json::Value R = okResponse();
   R.set("content_type", json::Value::string("text/plain; version=0.0.4"));
   R.set("text", json::Value::string(telemetry::mergeExpositions(Parts)));
   return R;
@@ -1247,27 +908,17 @@ json::Value Server::metricsTextJson(const json::Value &Request) {
 
 json::Value Server::profileOpJson(const json::Value &Request) {
   // Optional filter: profile only the engine behind one script handle.
-  std::string Filter = Request.getString("handle");
-  std::vector<std::pair<std::string, std::shared_ptr<EngineEntry>>> Live;
-  {
-    std::lock_guard<std::mutex> Lock(EnginesMutex);
-    for (const auto &E : Engines)
-      if (Filter.empty() || E.first == Filter)
-        Live.emplace_back(E.first, E.second);
-  }
   json::Value Components = json::Value::object();
-  for (const auto &E : Live)
-    if (E.second->Ready.load(std::memory_order_acquire))
-      if (TierManager *TM = E.second->E->compiler().tierManager()) {
-        json::Value P = TM->profileJson();
-        // Component hashes are content hashes of the generated C, so the
-        // same component surfacing via two engines merges cleanly (last
-        // writer wins; the counters refer to the same functions).
-        for (const auto &M : P.members())
-          Components.set(M.first, M.second);
-      }
-  json::Value R = json::Value::object();
-  R.set("ok", json::Value::boolean(true));
+  for (const auto &[Hash, Entry] : readyEngines(Request.getString("handle")))
+    if (TierManager *TM = Entry->E->compiler().tierManager()) {
+      json::Value P = TM->profileJson();
+      // Component hashes are content hashes of the generated C, so the
+      // same component surfacing via two engines merges cleanly (last
+      // writer wins; the counters refer to the same functions).
+      for (const auto &M : P.members())
+        Components.set(M.first, M.second);
+    }
+  json::Value R = okResponse();
   R.set("version", json::Value::number(1));
   R.set("components", std::move(Components));
   return R;

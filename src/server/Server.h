@@ -9,32 +9,33 @@
 //
 // Architecture (DESIGN.md §7):
 //
-//   accept loop ─▶ one reader thread per connection
-//                     │  readFrame / parse / validate / version check
+//   accept loop ─▶ one thread per connection    (server/FrameService.h:
+//                     │  frame prelude, version    shared with terrafleet)
+//                     │  gate, control ops inline
 //                     ▼
 //               bounded request queue          (backpressure: reject when
-//                     │                         full, never block readers)
+//                     │                         full, never block a reader)
 //                     ▼
-//               worker pool (support/ThreadPool) executes compile/call
-//                     │
+//               worker threads execute compile/call and write their own
+//                     │  response on the connection's Link
 //               engine LRU: ContentHash(script) -> live Engine
-//                     │  miss falls through to the PR 1 on-disk .so cache,
-//                     ▼  so re-creating an evicted engine re-links instead
-//               response frame written by a per-connection   of re-compiling
-//               writer thread, as each job completes
+//                        miss falls through to the on-disk .so cache, so
+//                        re-creating an evicted engine re-links instead of
+//                        re-compiling
 //
 // Pipelining: a connection may have many requests in flight (bounded by
-// MaxInFlightPerConn). The reader never blocks on a response — completed
-// jobs are flushed by the connection's writer thread in completion order,
-// each response echoing the request's "id" when one was supplied, so
-// clients like fleet/MuxClient can correlate out-of-order replies. The
-// writer also enforces per-request deadlines (a worker wedged in user code
-// cannot stall unrelated responses on the same connection).
+// MaxInFlightPerConn). The connection thread never blocks on a response:
+// each worker answers as its job completes, echoing the request's "id"
+// when one was supplied, so clients like fleet/MuxClient can correlate
+// out-of-order replies. The connection thread polls with a timeout equal to
+// the nearest pending deadline and answers "timeout" for an overdue job
+// itself (a worker wedged in user code cannot stall unrelated responses);
+// exactly one of the two answers, decided under the job's mutex.
 //
 // Each Engine is single-threaded, so one mutex per LRU entry serializes
 // calls into the same script while different scripts execute in parallel.
 // Shutdown (SIGTERM, SIGINT, or a "shutdown" request) drains: the queue
-// stops accepting, in-flight work completes and responses are flushed,
+// stops accepting, in-flight work completes and responses are written,
 // then connections are closed and the socket file removed.
 //
 //===----------------------------------------------------------------------===//
@@ -42,11 +43,10 @@
 #ifndef TERRACPP_SERVER_SERVER_H
 #define TERRACPP_SERVER_SERVER_H
 
+#include "server/FrameService.h"
 #include "support/Json.h"
 #include "support/Telemetry.h"
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <list>
@@ -60,7 +60,6 @@
 namespace terracpp {
 
 class Engine;
-class ThreadPool;
 
 namespace server {
 
@@ -85,33 +84,32 @@ struct ServerConfig {
   void resolveFromEnv();
 };
 
-class Server {
+class Server : private FrameHandler {
 public:
   explicit Server(ServerConfig Config);
   ~Server();
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Binds the socket and starts the accept loop and worker pool. False on
-  /// failure (\p Err set). Non-blocking; pair with wait().
+  /// Binds the socket and starts the accept loop and worker threads. False
+  /// on failure (\p Err set). Non-blocking; pair with wait().
   bool start(std::string &Err);
 
   /// Blocks until the server has fully shut down (signal, shutdown request,
   /// or requestShutdown()) and every in-flight request has drained.
-  void wait();
+  void wait() { Core.wait(); }
 
   /// Initiates a drain from any thread (idempotent, async-signal unsafe —
   /// signal handlers should use installSignalHandlers() instead, which the
   /// accept loop polls).
-  void requestShutdown();
+  void requestShutdown() { Core.requestShutdown(); }
 
-  bool running() const { return Started && !ShutdownComplete; }
+  bool running() const { return Core.running(); }
   const ServerConfig &config() const { return Config; }
 
-  /// Installs SIGTERM/SIGINT handlers that set a process-global flag; every
-  /// running Server's accept loop polls it and drains. Call once from main.
-  static void installSignalHandlers();
-  static bool signalReceived();
+  /// Installs SIGTERM/SIGINT handlers; one signal drains every running
+  /// Server and Router in the process. Call once from main.
+  static void installSignalHandlers() { FrameService::installSignalHandlers(); }
 
   /// Monotonic counters, readable concurrently (also served as {"op":"stats"}).
   /// A point-in-time snapshot assembled from the server's telemetry registry
@@ -150,15 +148,19 @@ public:
 private:
   struct Job;
   struct EngineEntry;
-  struct ConnState;
   struct Conn;
 
-  void acceptLoop();
-  void connectionLoop(Conn *C);
-  void writerLoop(std::shared_ptr<ConnState> St);
+  // FrameHandler: requests arrive here from the connection threads.
+  std::shared_ptr<Link> newLink(int Fd) override;
+  void onFrame(const std::shared_ptr<Link> &L, Frame &F) override;
+  uint64_t expire(Link &L) override;
+  bool awaitIdle(Link &L, uint64_t DeadlineUs) override;
+  void onDrain() override;
+
   void workerLoop();
-  void beginDrain();
-  void finishShutdown();
+  /// Answers \p J with \p Response unless its deadline already answered it.
+  void finishJob(Job &J, json::Value Response);
+  void stopWorkers();
 
   json::Value dispatch(const json::Value &Request);
   json::Value handleCompile(const json::Value &Request);
@@ -189,6 +191,11 @@ private:
                                             const std::string &Source,
                                             const std::string &Name,
                                             bool &Warm, std::string &Error);
+  /// Snapshot of the ready entries (all, or only \p Handle's). Reading an
+  /// entry's registries needs no ExecMutex: they are thread-safe, and a
+  /// ready entry keeps its engine while the shared_ptr is held.
+  std::vector<std::pair<std::string, std::shared_ptr<EngineEntry>>>
+  readyEngines(const std::string &Handle = "") const;
   void touchEntry(const std::string &Hash);
   void evictIfNeeded();
 
@@ -196,38 +203,21 @@ private:
   std::shared_ptr<Job> popJob();
 
   ServerConfig Config;
-  int ListenFd = -1;
-  bool Started = false;
 
-  std::thread Acceptor;
-  std::unique_ptr<ThreadPool> Workers;
-
-  // Connection registry: fds are shut down on drain to wake reader threads;
-  // finished readers are reaped by the accept loop so a long-running server
-  // does not accumulate dead threads.
-  std::mutex ConnMutex;
-  std::vector<std::unique_ptr<Conn>> Conns;
-  void reapConnections(bool Join);
-
-  // Bounded request queue.
+  // Bounded request queue. QueueCV wakes workers; IdleCV wakes the drain
+  // once the queue is empty and nothing executes.
   std::mutex QueueMutex;
   std::condition_variable QueueCV;
+  std::condition_variable IdleCV;
   std::deque<std::shared_ptr<Job>> Queue;
-  std::atomic<unsigned> InFlight{0}; ///< Popped but not yet completed.
+  unsigned InFlight = 0; ///< Popped but not yet completed.
+  bool StopWorkers = false;
 
   // Engine LRU (most recent at front of LruOrder).
   mutable std::mutex EnginesMutex;
   std::unordered_map<std::string, std::shared_ptr<EngineEntry>> Engines;
   std::list<std::string> LruOrder;
   std::unordered_map<std::string, std::string> Sources; ///< hash -> script.
-
-  std::atomic<bool> Draining{false};
-  std::atomic<bool> ShutdownComplete{false};
-  std::mutex ShutdownMutex;
-  std::condition_variable ShutdownCV;
-
-  std::chrono::steady_clock::time_point StartTime{};
-  std::atomic<uint64_t> NextTraceId{1}; ///< For requests without a trace_id.
 
   /// Per-server metrics. Declared before the metric references below so the
   /// references can bind in the constructor initializer list.
@@ -255,6 +245,12 @@ private:
   telemetry::Histogram &MCallLatencyUs;
   telemetry::Histogram &MPingLatencyUs;
   telemetry::Histogram &MOtherLatencyUs;
+
+  std::vector<std::thread> Workers;
+
+  /// Socket, connection threads and drain; declared last so it is
+  /// constructed after (and destroyed before) everything it calls into.
+  FrameService Core;
 };
 
 } // namespace server

@@ -42,6 +42,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <memory>
+#include <sys/stat.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -645,6 +646,29 @@ TEST(Fleet, RouterRejectsProtocolVersionMismatch) {
   EXPECT_TRUE(Resp.getBool("ok"));
   EXPECT_TRUE(Resp.getBool("fleet"));
   ::close(Fd);
+}
+
+TEST(Fleet, OneSigtermDrainsRouterAndInProcessShards) {
+  FleetFixture F(2);
+  ASSERT_TRUE(F.StartOK) << F.StartErr;
+  {
+    server::Client C = F.frontClient();
+    server::Client::CompileResult R =
+        C.compile("terra f(x: int): int return x + 1 end", "f.t");
+    ASSERT_TRUE(R.OK) << R.Error;
+  }
+  // Router and Server install the same handlers; one signal reaches every
+  // service in the process.
+  Router::installSignalHandlers();
+  ::raise(SIGTERM);
+  EXPECT_TRUE(waitFor([&] { return !F.router().running(); }, 10000));
+  for (unsigned I = 0; I != 2; ++I) {
+    EXPECT_TRUE(waitFor([&] { return !F.shard(I).running(); }, 10000))
+        << "shard " << I;
+    EXPECT_TRUE(F.shard(I).stats().DrainedClean) << "shard " << I;
+  }
+  struct stat St;
+  EXPECT_NE(::stat(F.front().c_str(), &St), 0); // Front socket removed.
 }
 
 //===----------------------------------------------------------------------===//

@@ -512,6 +512,32 @@ TEST_P(InlineRulesTest, StatementArgumentsEvaluateOnceLeftToRight) {
   EXPECT_TRUE(stillCalls(fn("f"), "next"));
 }
 
+TEST_P(InlineRulesTest, CallOperandsEvaluateLeftToRight) {
+  // Loops keep next and put calls on every tier, so the C backend emits
+  // them as C calls and binary operators, whose operand order C leaves
+  // unspecified; every tier must still run them left to right.
+  EXPECT_EQ(runF("terra next(c: &int): int\n"
+                 "  for i = 0, 1 do @c = @c + 1 end\n"
+                 "  return @c\n"
+                 "end\n"
+                 "terra put(p: &int, a: int, b: int)\n"
+                 "  var s = 0\n"
+                 "  for i = 0, 1 do s = s + a * 10 + b end\n"
+                 "  @p = s\n"
+                 "end\n"
+                 "terra f(): int\n"
+                 "  var c = 0\n"
+                 "  var r: int\n"
+                 "  put(&r, next(&c), next(&c))\n"
+                 "  var x = next(&c) * 10 + next(&c)\n"
+                 "  var y = next(&c) - c\n"
+                 "  return r * 10000 + x * 100 + y * 10 + c\n"
+                 "end"),
+            12 * 10000 + 34 * 100 + 0 * 10 + 5);
+  EXPECT_TRUE(stillCalls(fn("f"), "put"));
+  EXPECT_TRUE(stillCalls(fn("f"), "next"));
+}
+
 TEST_P(InlineRulesTest, CheapArgumentsAreSubstitutedInExpressionPosition) {
   EXPECT_EQ(runF("struct V { a: int; b: int }\n"
                  "terra dot(v: V, k: int64): int64 return v.a * k + v.b end\n"

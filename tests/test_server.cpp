@@ -19,6 +19,7 @@
 #include "server/Client.h"
 #include "server/Protocol.h"
 #include "server/Server.h"
+#include "support/Telemetry.h"
 #include "support/Trace.h"
 
 #include "ScopedEnv.h"
@@ -28,6 +29,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
+#include <dirent.h>
 #include <sys/stat.h>
 #include <thread>
 #include <unistd.h>
@@ -256,6 +258,81 @@ TEST(Terrad, PerRequestTimeout) {
   ASSERT_FALSE(Resp.isNull()) << C.error();
   EXPECT_FALSE(Resp.getBool("ok"));
   EXPECT_NE(Resp.getString("error").find("timed out"), std::string::npos);
+  EXPECT_EQ(F.server().stats().RequestsTimedOut, 1u);
+}
+
+/// Threads of this process (entries of /proc/self/task).
+size_t countThreads() {
+  size_t N = 0;
+  if (DIR *D = opendir("/proc/self/task")) {
+    while (dirent *E = readdir(D))
+      if (E->d_name[0] != '.')
+        ++N;
+    closedir(D);
+  }
+  return N;
+}
+
+TEST(Terrad, OneThreadPerConnection) {
+  ServerFixture F;
+  ASSERT_TRUE(F.StartOK) << F.StartErr;
+  size_t Before = countThreads();
+  std::vector<Client> Clients;
+  for (int I = 0; I != 4; ++I) {
+    Clients.push_back(F.client());
+    // An answered request proves the connection's thread is running.
+    ASSERT_FALSE(Clients.back().stats().isNull()) << Clients.back().error();
+  }
+  EXPECT_EQ(countThreads(), Before + 4);
+}
+
+TEST(Terrad, DrainLeavesThreadPoolHistogramsAlone) {
+  // Workers are plain threads, not ThreadPool tasks that would record their
+  // whole lifetime as one task run.
+  telemetry::Histogram &TaskRun =
+      telemetry::Registry::global().histogram("threadpool.task_run_us");
+  uint64_t Before = TaskRun.snapshot().Count;
+  {
+    ServerFixture F;
+    ASSERT_TRUE(F.StartOK) << F.StartErr;
+    Client C = F.client();
+    ASSERT_TRUE(C.ping()) << C.error();
+  }
+  EXPECT_EQ(TaskRun.snapshot().Count, Before);
+}
+
+TEST(Terrad, ServerTimeoutOnPipelinedConnection) {
+  ServerFixture F;
+  ASSERT_TRUE(F.StartOK) << F.StartErr;
+  std::string Err;
+  int Fd = connectUnix(F.socket(), Err);
+  ASSERT_GE(Fd, 0) << Err;
+
+  auto Ping = [](int Id) {
+    Value Req = Value::object();
+    Req.set("op", Value::string("ping"));
+    Req.set("v", Value::number(ProtocolVersion));
+    Req.set("id", Value::number(Id));
+    return Req;
+  };
+  Value Slow = Ping(1);
+  Slow.set("delay_ms", Value::number(800));
+  Slow.set("timeout_ms", Value::number(100));
+  ASSERT_TRUE(writeMessage(Fd, Slow));
+  ASSERT_TRUE(writeMessage(Fd, Ping(2)));
+
+  // The plain ping does not wait behind the slow one...
+  Value Resp;
+  ASSERT_EQ(readMessage(Fd, Resp, Err, 5000), FrameStatus::OK) << Err;
+  EXPECT_EQ(Resp.getNumber("id"), 2.0);
+  EXPECT_TRUE(Resp.getBool("ok"));
+  // ...the slow one is answered once, by its deadline...
+  ASSERT_EQ(readMessage(Fd, Resp, Err, 5000), FrameStatus::OK) << Err;
+  EXPECT_EQ(Resp.getNumber("id"), 1.0);
+  EXPECT_EQ(Resp.getString("code"), "timeout");
+  // ...and the worker that finishes it later stays silent.
+  EXPECT_EQ(readMessage(Fd, Resp, Err, 1000), FrameStatus::Timeout);
+  ::close(Fd);
   EXPECT_EQ(F.server().stats().RequestsTimedOut, 1u);
 }
 
