@@ -123,7 +123,7 @@ void measureEngineTiers(benchreport::Json &Report) {
   {
     // Pin to the VM: with the baseline JIT enabled by default, an
     // unconstrained Interp engine would measure tier 0.5, not tier 0.
-    ScopedEnv Force("TERRACPP_INTERP", "vm");
+    ScopedEnv Off("TERRACPP_JIT_BASELINE", "0");
     Engine E(BackendKind::Interp);
     E.run(kernelSource("kern", 1));
     TerraFunction *F = E.terraFunction("kern");
@@ -306,7 +306,8 @@ void BM_TreeWalker(benchmark::State &State) {
 BENCHMARK(BM_TreeWalker)->Arg(1000)->Arg(20000)->Unit(benchmark::kMicrosecond);
 
 void BM_Tier0VM(benchmark::State &State) {
-  runTierBenchmark(State, "vm", BackendKind::Interp);
+  ScopedEnv Off("TERRACPP_JIT_BASELINE", "0");
+  runTierBenchmark(State, nullptr, BackendKind::Interp);
 }
 BENCHMARK(BM_Tier0VM)->Arg(1000)->Arg(20000)->Unit(benchmark::kMicrosecond);
 

@@ -3,6 +3,7 @@
 #include "analysis/Analysis.h"
 #include "core/LuaStdlib.h"
 #include "core/Parser.h"
+#include "support/EnvParse.h"
 #include "support/Telemetry.h"
 #include "support/Trace.h"
 
@@ -17,7 +18,7 @@ using namespace terracpp::lua;
 
 /// True when a `cc` binary exists somewhere on PATH. Cached: the PATH scan
 /// happens once per process, and the answer feeds only the *default*
-/// backend choice (TERRACPP_BACKEND overrides it either way).
+/// backend choice.
 static bool ccOnPath() {
   static const bool Found = [] {
     const char *Path = getenv("PATH");
@@ -43,30 +44,57 @@ static bool ccOnPath() {
   return Found;
 }
 
-BackendKind Engine::defaultBackend() {
-  const char *Env = getenv("TERRACPP_BACKEND");
-  if (Env && std::string(Env) == "interp")
-    return BackendKind::Interp;
-  if (Env && std::string(Env) == "native")
-    return BackendKind::Native;
-  // TERRACPP_JIT_TIER=0 pins execution to tier 0 (bytecode VM, tree-walker
-  // fallback); "auto" resolves to Native + TierPolicy::Auto in the
-  // constructor via tierPolicyFromEnv().
-  const char *TierEnv = getenv("TERRACPP_JIT_TIER");
-  if (TierEnv && std::string(TierEnv) == "0")
-    return BackendKind::Interp;
-  // No C compiler installed: run on the compiler-free tiers (baseline JIT
-  // over the bytecode VM) instead of failing every first call.
-  if (!ccOnPath())
-    return BackendKind::Interp;
-  return BackendKind::Native;
+EngineSettings Engine::resolveSettings(const EngineOverrides &O,
+                                       std::string *Err) {
+  enum { Tier0, Tier1, TierAuto };
+  int Tier = envcfg::parseChoice("TERRACPP_JIT_TIER", {"0", "1", "auto"});
+  int EnvBackend =
+      envcfg::parseChoice("TERRACPP_BACKEND", {"native", "interp"});
+  if (!O.Tier.empty()) {
+    int T = O.Tier == "0" ? Tier0 : O.Tier == "1" ? Tier1
+            : O.Tier == "auto" ? TierAuto : -1;
+    std::string Why;
+    if (T < 0)
+      Why = "tier must be 0, 1 or auto";
+    else if (O.Backend && (*O.Backend == BackendKind::Interp) != (T == Tier0))
+      Why = std::string("backend ") +
+            (*O.Backend == BackendKind::Interp ? "interp" : "native") +
+            " conflicts with tier " + O.Tier;
+    if (!Why.empty()) {
+      if (Err)
+        *Err = Why;
+      return resolveSettings();
+    }
+    Tier = T;
+    EnvBackend = -1; // An explicit tier outranks the environment's backend.
+  }
+
+  EngineSettings S;
+  if (O.Backend)
+    S.Backend = *O.Backend;
+  else if (EnvBackend >= 0)
+    S.Backend = EnvBackend ? BackendKind::Interp : BackendKind::Native;
+  else if (Tier == Tier0 || !ccOnPath()) // No cc: the compiler-free tiers.
+    S.Backend = BackendKind::Interp;
+  if (S.Backend == BackendKind::Native && Tier == TierAuto)
+    S.Tier = TierPolicy::Auto;
+  S.Baseline =
+      Tier != Tier0 && envcfg::parseBool("TERRACPP_JIT_BASELINE", true);
+  S.TreeOnly = envcfg::parseChoice("TERRACPP_INTERP", {"tree"}) == 0;
+  S.CallThreshold = envcfg::parseUInt("TERRACPP_TIER_CALL_THRESHOLD", 8);
+  S.BackEdgeThreshold =
+      envcfg::parseUInt("TERRACPP_TIER_BACKEDGE_THRESHOLD", 4096);
+  return S;
 }
 
-Engine::Engine(BackendKind Backend) : Diags(&SM) {
+Engine::Engine() : Engine(resolveSettings()) {}
+
+Engine::Engine(BackendKind Backend) : Engine(resolveSettings({Backend, ""})) {}
+
+Engine::Engine(const EngineSettings &Settings) : Diags(&SM) {
   TCtx = std::make_unique<TerraContext>(Diags);
   I = std::make_unique<Interp>(*TCtx, Diags);
-  Comp = std::make_unique<TerraCompiler>(*TCtx, *I, Backend,
-                                         tierPolicyFromEnv());
+  Comp = std::make_unique<TerraCompiler>(*TCtx, *I, Settings);
   // Wire the interpreter to the compiler.
   TerraCompiler *CompP = Comp.get();
   I->hooks().Typecheck = [CompP](TerraFunction *F) {

@@ -20,6 +20,7 @@
 #include "core/TerraCompiler.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 
 namespace terracpp {
@@ -28,16 +29,39 @@ namespace analysis {
 struct AnalysisReport;
 } // namespace analysis
 
+/// Explicit engine choices that take precedence over the environment
+/// (terracpp's --backend and --tier flags).
+struct EngineOverrides {
+  std::optional<BackendKind> Backend;
+  std::string Tier; ///< "0", "1" or "auto"; empty when not given.
+};
+
 class Engine {
 public:
-  /// Backend defaults to Native; set the TERRACPP_BACKEND environment
-  /// variable to "interp" to run without a C compiler.
-  explicit Engine(BackendKind Backend = defaultBackend());
+  /// Settings from the environment (resolveSettings).
+  Engine();
+  /// Settings from the environment, with the backend fixed.
+  explicit Engine(BackendKind Backend);
+  explicit Engine(const EngineSettings &Settings);
   ~Engine();
   Engine(const Engine &) = delete;
   Engine &operator=(const Engine &) = delete;
 
-  static BackendKind defaultBackend();
+  /// Resolves the engine settings from TERRACPP_BACKEND (native|interp),
+  /// TERRACPP_JIT_TIER (0|1|auto), TERRACPP_INTERP (tree),
+  /// TERRACPP_JIT_BASELINE and the TERRACPP_TIER_*_THRESHOLD knobs, with
+  /// \p O taking precedence. The backend is, first match wins: the
+  /// override; the environment's, unless a tier override is given; Interp
+  /// for tier 0 or with no cc on PATH; Native. A malformed environment
+  /// value warns once (env.invalid) and counts as unset. When the overrides
+  /// conflict (an Interp backend with tier 1 or auto, Native with tier 0)
+  /// or the tier override is not 0, 1 or auto, \p Err receives the reason
+  /// and the environment alone decides.
+  static EngineSettings resolveSettings(const EngineOverrides &O = {},
+                                        std::string *Err = nullptr);
+
+  /// The backend resolveSettings picks from the environment alone.
+  static BackendKind defaultBackend() { return resolveSettings().Backend; }
 
   /// Parses and runs a combined Lua/Terra chunk. False on error (see
   /// errors()).

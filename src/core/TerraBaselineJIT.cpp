@@ -26,7 +26,6 @@
 #include "core/TerraCompiler.h"
 #include "core/TerraType.h"
 #include "core/TerraVM.h"
-#include "support/EnvParse.h"
 #include "support/Telemetry.h"
 
 #include <array>
@@ -48,49 +47,11 @@ void *const BaselineFailed = reinterpret_cast<void *>(uintptr_t(1));
 
 extern "C" {
 
-/// Executes call site \p Idx. Returns 1 to continue, 0 to unwind (the
-/// emitted code jumps to its epilogue; failure state lives in Env).
+/// Executes call site \p Idx through vm::call. Returns 1 to continue, 0 to
+/// unwind (the emitted code jumps to its epilogue; failure state lives in
+/// Env).
 uint64_t terracppBaselineCall(const bytecode::Function *F, uint64_t Idx,
                               Slot *R, uint8_t *Frame, vm::ExecEnv *Env) {
-  const CallSite &CS = F->Calls[static_cast<size_t>(Idx)];
-  TerraFunction *Callee = CS.Callee;
-  // Baseline-to-baseline fast path for pure-bytecode callees outside tiered
-  // mode. Tiered callees must go through their dispatcher Entry (inside
-  // vm::execCallSite) so call counting sees them.
-  if (Callee && !Callee->IsExtern && !Callee->HostClosure && !Callee->Tier &&
-      Callee->Bytecode) {
-    void *E = Callee->BaselineEntry.load(std::memory_order_acquire);
-    if (!E) {
-      if (BaselineJIT *BJ = Env->Comp.baseline())
-        E = reinterpret_cast<void *>(BJ->entryFor(Callee));
-    }
-    if (E && E != BaselineFailed) {
-      // The nested activation's frame goes on the native stack; charge the
-      // shared depth budget (weighted by frame size) so deep guest
-      // recursion fails with the interpreter's diagnostic instead of
-      // overrunning the host stack.
-      vm::CallDepthScope DepthScope(BaselineJIT::depthUnits(Callee));
-      if (DepthScope.exceeded()) {
-        vm::failStackOverflow(*Env);
-        return 0;
-      }
-      void *ArgPtrs[MaxCallArgs];
-      for (size_t I = 0, N = CS.Args.size(); I != N; ++I) {
-        const CallSite::Arg &A = CS.Args[I];
-        ArgPtrs[I] = A.ByAddr ? R[A.Reg].P : static_cast<void *>(&R[A.Reg]);
-      }
-      void *RetPtr = (CS.RetTy && !CS.RetTy->isVoid())
-                         ? Frame + CS.RetFrameOff
-                         : nullptr;
-      Env->BackEdges +=
-          reinterpret_cast<BaselineJIT::Fn>(E)(ArgPtrs, RetPtr, Env);
-      if (Env->Failed)
-        return 0;
-      if (CS.DstReg != 0xFFFF && RetPtr)
-        vm::loadCallResult(R[CS.DstReg], CS.RetLoad, RetPtr);
-      return 1;
-    }
-  }
   return vm::execCallSite(*F, Idx, R, Frame, *Env) ? 1 : 0;
 }
 
@@ -1126,10 +1087,6 @@ bool BaselineJIT::supported() {
 #else
   return false;
 #endif
-}
-
-bool BaselineJIT::enabledFromEnv() {
-  return envcfg::parseBool("TERRACPP_JIT_BASELINE", true);
 }
 
 bool BaselineJIT::emitBytesForTest(const TerraFunction *F,

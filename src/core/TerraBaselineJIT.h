@@ -5,15 +5,16 @@
 //
 //   tree-walker -> bytecode VM -> baseline JIT -> cc-compiled native
 //
-// Emission is microseconds (no external compiler), so the baseline replaces
-// the VM on a function's very first dispatch; the optimizing C backend
-// still lands in the background exactly as before. Semantics are the VM's
-// bit for bit: the same canonical Slot forms, the same out-of-line call/
-// trap side tables (calls and traps run through vm::execCallSite /
-// vm::execTrap so source locations and FFI behavior are tier-invariant),
-// the same "terra interpreter: ..." diagnostics. Bytecode the emitter
-// cannot handle bails permanently to the VM, mirroring how the VM bails to
-// the tree-walker.
+// Emission is microseconds (no external compiler), so the pre-native
+// dispatcher (TerraInterpBackend::run) picks baseline code over the VM from
+// a function's very first activation; the optimizing C backend still lands
+// in the background exactly as before. Semantics are the VM's bit for bit:
+// the same canonical Slot forms, the same out-of-line call/trap side tables
+// (calls and traps run through vm::execCallSite / vm::execTrap, so every
+// callee goes back through the dispatcher and source locations and FFI
+// behavior are tier-invariant), the same "terra interpreter: ..."
+// diagnostics. Bytecode the emitter cannot handle bails permanently to the
+// VM, mirroring how the VM bails to the tree-walker.
 //
 //===----------------------------------------------------------------------===//
 
@@ -68,9 +69,6 @@ public:
 
   /// True iff the host architecture is supported (x86-64 only).
   static bool supported();
-
-  /// TERRACPP_JIT_BASELINE knob (validated; default on).
-  static bool enabledFromEnv();
 
   /// Emits baseline code for \p F's bytecode into \p Out without publishing
   /// executable pages. Returns false when \p F has no bytecode or the

@@ -37,30 +37,22 @@ extern "C" void terracpp_hostcall_trampoline(void *Ctx, uint64_t ClosureId,
 // TerraCompiler
 //===----------------------------------------------------------------------===//
 
-TerraCompiler::TerraCompiler(TerraContext &Ctx, Interp &I, BackendKind Backend,
-                             TierPolicy Tier)
-    : Ctx(Ctx), I(I), Backend(Backend), Tier(Tier), TC(Ctx, I),
-      JIT(Ctx.diags()),
+TerraCompiler::TerraCompiler(TerraContext &Ctx, Interp &I,
+                             const EngineSettings &Settings)
+    : Ctx(Ctx), I(I), Settings(Settings), TC(Ctx, I), JIT(Ctx.diags()),
       MInlinedCalls(JIT.metrics().counter("midend.inlined_calls")),
       MBakedCalleeRefs(JIT.metrics().counter("codegen.baked_callee_refs")),
+      MBackEdges(JIT.metrics().counter("vm.backedges")),
       AnalyzeLints(analysis::AnalyzeOptions::lintsEnabledFromEnv()) {
-  if (Backend == BackendKind::Native && Tier == TierPolicy::Auto)
-    Tiers = std::make_unique<TierManager>(JIT);
-  if (Backend == BackendKind::Interp || Tiers)
-    InterpBackend = std::make_unique<TerraInterpBackend>(Ctx, *this);
-  // Baseline JIT (tier 0.5): on by default wherever bytecode runs, off when
-  // the user forces a specific interpreter engine (TERRACPP_INTERP=vm/tree),
-  // pins tier 0 (TERRACPP_JIT_TIER=0), or disables it outright.
-  if (InterpBackend && BaselineJIT::supported() &&
-      BaselineJIT::enabledFromEnv()) {
-    const char *IM = std::getenv("TERRACPP_INTERP");
-    const char *JT = std::getenv("TERRACPP_JIT_TIER");
-    bool ForcedInterp =
-        IM && *IM && (std::string(IM) == "vm" || std::string(IM) == "tree");
-    bool PinnedTier0 = JT && std::string(JT) == "0";
-    if (!ForcedInterp && !PinnedTier0)
-      Baseline = std::make_unique<BaselineJIT>(JIT.metrics());
-  }
+  if (Settings.Backend == BackendKind::Native &&
+      Settings.Tier == TierPolicy::Auto)
+    Tiers = std::make_unique<TierManager>(JIT, Settings.CallThreshold,
+                                          Settings.BackEdgeThreshold);
+  if (Settings.Backend == BackendKind::Interp || Tiers)
+    InterpBackend =
+        std::make_unique<TerraInterpBackend>(Ctx, *this, Settings.TreeOnly);
+  if (InterpBackend && Settings.Baseline && BaselineJIT::supported())
+    Baseline = std::make_unique<BaselineJIT>(JIT.metrics());
 }
 
 bool TerraCompiler::analyzeComponent(
@@ -146,28 +138,14 @@ bool TerraCompiler::ensureCompiled(TerraFunction *F) {
   if (!analyzeComponent(Component) || !runMidend(Component))
     return false;
 
-  if (Backend == BackendKind::Interp) {
-    for (TerraFunction *Fn : Component)
-      if (!InterpBackend->prepare(Fn))
-        return false;
-    Timing.FunctionsCompiled += Component.size();
-    return true;
-  }
+  if (InterpBackend)
+    return installTier0(F, Component);
 
   Timer T;
   bool Cacheable = false;
   std::string Source = emitComponent(F, Component, Cacheable);
   if (Source.empty())
     return false;
-  if (Tiers) {
-    // Tiered execution: no C compiler on the critical path. Park the
-    // generated module for background promotion and start on the VM now.
-    installTier0(std::move(Source), Cacheable, Component);
-    Timing.CodegenSeconds += T.seconds();
-    ++Timing.ModulesCompiled;
-    Timing.FunctionsCompiled += Component.size();
-    return true;
-  }
   bool OK = JIT.addModule(Source, Component, Cacheable);
   Timing.CodegenSeconds += T.seconds();
   if (OK) {
@@ -177,56 +155,58 @@ bool TerraCompiler::ensureCompiled(TerraFunction *F) {
   return OK;
 }
 
-void TerraCompiler::installTier0(std::string Source, bool Cacheable,
-                                 const std::vector<TerraFunction *> &Component) {
-  Tiers->registerComponent(std::move(Source), Cacheable, Component);
+bool TerraCompiler::installTier0(
+    TerraFunction *Root, const std::vector<TerraFunction *> &Component) {
+  Timer T;
+  if (Tiers) {
+    // No C compiler on the critical path: park the generated module for
+    // background promotion and start on the pre-native tiers now.
+    bool Cacheable = false;
+    std::string Source = emitComponent(Root, Component, Cacheable);
+    if (Source.empty())
+      return false;
+    Tiers->registerComponent(std::move(Source), Cacheable, Component);
+    ++Timing.ModulesCompiled;
+  }
   for (TerraFunction *Fn : Component) {
     InterpBackend->compileBytecode(Fn);
-    if (Fn->Entry || !Fn->Tier)
-      continue; // dispatcher already installed, or pre-tiering native code
+    // Keep an installed thunk; under Auto a function without TierState is
+    // native code compiled outside the tiering pipeline.
+    if (Fn->Entry || (Tiers && !Fn->Tier))
+      continue;
     std::shared_ptr<TierState> TS = Fn->Tier;
-    TerraCompiler *Self = this;
-    TerraFunction *FnP = Fn;
-    Fn->Entry = [Self, FnP, TS](void **Args, void *Ret) {
-      // Acquire pairs with the promotion job's release store: a non-null
-      // entry implies the dlopen'd code behind it is fully visible.
-      // Only the outermost activation records its tier (see
-      // TerraInterpBackend::execute).
-      bool Outermost = vm::callDepth() == 0;
-      if (void *NE = TS->NativeEntry.load(std::memory_order_acquire)) {
-        if (Outermost)
-          Self->LastCallTier.store(1, std::memory_order_relaxed);
-        Self->Tiers->noteTier1Call();
-        reinterpret_cast<void (*)(void **, void *)>(NE)(Args, Ret);
-        return;
-      }
-      // Tier 0.5: baseline machine code from the first dispatch on. Still
-      // counts as a pre-native call so promotion thresholds keep firing.
-      if (Self->Baseline) {
-        if (BaselineJIT::Fn BE = Self->Baseline->entryFor(FnP)) {
-          if (Outermost)
-            Self->LastCallTier.store(2, std::memory_order_relaxed);
-          Self->Tiers->noteBaselineCall(*TS);
-          vm::ExecEnv Env(Self->Ctx, *Self);
-          // Recursion through tiered callees re-enters this thunk with a
-          // fresh Env each hop; the thread-shared depth scope is what
-          // bounds the native stack those baseline frames grow.
-          vm::CallDepthScope DepthScope(BaselineJIT::depthUnits(FnP));
-          if (DepthScope.exceeded()) {
-            vm::failStackOverflow(Env);
-            return;
-          }
-          uint64_t Edges = BE(Args, Ret, &Env);
-          Self->Tiers->noteBackEdges(*TS, Edges + Env.BackEdges);
-          return;
-        }
-      }
-      Self->Tiers->noteTier0Call(*TS);
-      uint64_t BackEdges = 0;
-      Self->InterpBackend->execute(FnP, Args, Ret, &BackEdges);
-      Self->Tiers->noteBackEdges(*TS, BackEdges);
+    Fn->Entry = [this, Fn, TS](void **Args, void *Ret) {
+      enterTier0(Fn, TS.get(), Args, Ret);
     };
   }
+  Timing.CodegenSeconds += T.seconds();
+  Timing.FunctionsCompiled += Component.size();
+  return true;
+}
+
+void TerraCompiler::enterTier0(TerraFunction *F, TierState *TS, void **Args,
+                               void *Ret) {
+  // Only an activation no guest frame encloses speaks for the host call;
+  // a nested dispatch must not overwrite the outer tier.
+  bool Outermost = vm::callDepth() == 0;
+  // Acquire pairs with the promotion job's release store: a non-null
+  // entry implies the dlopen'd code behind it is fully visible.
+  if (void *NE = TS ? TS->NativeEntry.load(std::memory_order_acquire)
+                    : nullptr) {
+    if (Outermost)
+      noteLastCallTier(1);
+    Tiers->noteTier1Call();
+    reinterpret_cast<void (*)(void **, void *)>(NE)(Args, Ret);
+    return;
+  }
+  vm::ExecEnv Env(Ctx, *this);
+  int Tier = InterpBackend->run(F, Args, Ret, Env);
+  if (Outermost)
+    noteLastCallTier(Tier);
+  if (Env.BackEdges)
+    MBackEdges.inc(Env.BackEdges);
+  if (TS)
+    Tiers->noteCall(*TS, Tier, Env.BackEdges);
 }
 
 void *TerraCompiler::nativePointer(TerraFunction *F) {
@@ -274,10 +254,10 @@ void *TerraCompiler::nativePointer(TerraFunction *F) {
 }
 
 bool TerraCompiler::compileAll(const std::vector<TerraFunction *> &Roots) {
-  if (Backend == BackendKind::Interp || Tiers) {
-    // Interp: nothing to batch. Auto: ensureCompiled is already cheap (no
-    // C compiler on the critical path); promotion parallelism happens in
-    // the background worker instead of an addModules batch.
+  if (InterpBackend) {
+    // Tier 0: nothing to batch; ensureCompiled runs no C compiler. Under
+    // Auto, promotion parallelism happens in the background worker instead
+    // of an addModules batch.
     bool AllOK = true;
     for (TerraFunction *F : Roots)
       if (F)
@@ -600,9 +580,8 @@ bool TerraCompiler::callFromHost(TerraFunction *F, std::vector<Value> &Args,
   uintptr_t RP = reinterpret_cast<uintptr_t>(RetSlot.data());
   void *Ret = reinterpret_cast<void *>((RP + 31) & ~static_cast<uintptr_t>(31));
 
-  // Under Auto the tiered dispatcher overwrites this with the tier it
-  // actually took; otherwise the backend choice is the tier.
-  LastCallTier.store(Backend == BackendKind::Interp ? 0 : 1,
+  // A tier-0 entry thunk overwrites this with the tier it actually took.
+  LastCallTier.store(Settings.Backend == BackendKind::Interp ? 0 : 1,
                      std::memory_order_relaxed);
   // A runtime trap on the interpreted tiers (division by zero, nil deref)
   // surfaces as a new diagnostic rather than a return code — the entry

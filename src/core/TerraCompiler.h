@@ -30,29 +30,48 @@ class BaselineJIT;
 /// Which execution engine runs compiled Terra code.
 enum class BackendKind {
   Native, ///< CBackend -> system cc -> dlopen (default).
-  Interp, ///< Tree-walking evaluator (no C compiler required).
+  Interp, ///< Compiler-free tiers: baseline JIT, bytecode VM, tree-walker.
+};
+
+/// How an Engine runs Terra code, resolved once from the environment plus
+/// explicit overrides (Engine::resolveSettings). Nothing below the Engine
+/// reads these knobs itself.
+struct EngineSettings {
+  BackendKind Backend = BackendKind::Native;
+  /// Native only: Auto starts every function on the compiler-free tiers
+  /// and promotes hot ones to cc-native code in the background.
+  TierPolicy Tier = TierPolicy::Tier1;
+  /// The baseline JIT fronts the VM (off under TERRACPP_JIT_BASELINE=0
+  /// and TERRACPP_JIT_TIER=0).
+  bool Baseline = true;
+  /// TERRACPP_INTERP=tree: the tree-walker runs every pre-native call (the
+  /// differential-test oracle).
+  bool TreeOnly = false;
+  uint64_t CallThreshold = 8;        ///< TERRACPP_TIER_CALL_THRESHOLD
+  uint64_t BackEdgeThreshold = 4096; ///< TERRACPP_TIER_BACKEDGE_THRESHOLD
 };
 
 class TerraCompiler {
 public:
   TerraCompiler(TerraContext &Ctx, lua::Interp &I,
-                BackendKind Backend = BackendKind::Native,
-                TierPolicy Tier = TierPolicy::Tier1);
+                const EngineSettings &Settings = EngineSettings());
   ~TerraCompiler();
 
   Typechecker &typechecker() { return TC; }
   JITEngine &jit() { return JIT; }
-  BackendKind backend() const { return Backend; }
-  TierPolicy tierPolicy() const { return Tier; }
+  BackendKind backend() const { return Settings.Backend; }
+  const EngineSettings &settings() const { return Settings; }
 
   /// The tier-promotion manager; null unless running under
   /// TierPolicy::Auto with the native backend.
   TierManager *tierManager() { return Tiers.get(); }
 
-  /// The baseline JIT (tier 0.5); null when disabled
-  /// (TERRACPP_JIT_BASELINE=0, TERRACPP_INTERP forced to vm/tree,
-  /// TERRACPP_JIT_TIER=0, unsupported architecture, or pure-native mode).
+  /// The baseline JIT (tier 0.5); null when EngineSettings::Baseline is
+  /// off, on an unsupported architecture, or in pure-native mode.
   BaselineJIT *baseline() { return Baseline.get(); }
+
+  /// The pre-native dispatcher; null in pure-native mode.
+  TerraInterpBackend *interpBackend() { return InterpBackend.get(); }
 
   /// The tier (0 = interpreted/VM, 2 = baseline JIT, 1 = cc-native) that
   /// executed the most recent host-initiated call; -1 before any call.
@@ -62,8 +81,7 @@ public:
     return LastCallTier.load(std::memory_order_relaxed);
   }
 
-  /// Records which tier ran a dispatch (TerraInterpBackend uses this when
-  /// it routes through the baseline JIT outside tiered mode).
+  /// Overwrites lastCallTier() (the entry thunk records each host call).
   void noteLastCallTier(int T) {
     LastCallTier.store(T, std::memory_order_relaxed);
   }
@@ -176,16 +194,22 @@ private:
                             const std::vector<TerraFunction *> &Component,
                             bool &Cacheable);
 
-  /// Tier-0 installation for a freshly generated component: parks the C
-  /// source with the TierManager, compiles each function to bytecode, and
-  /// installs the tiered dispatcher Entry.
-  void installTier0(std::string Source, bool Cacheable,
+  /// Tier-0 installation: compiles each function of \p Component to
+  /// bytecode and installs the entry thunk (enterTier0). Under
+  /// TierPolicy::Auto it first emits the C module and parks it with the
+  /// TierManager for background promotion.
+  bool installTier0(TerraFunction *Root,
                     const std::vector<TerraFunction *> &Component);
+
+  /// The entry thunk of every function installed at tier 0: native code
+  /// once \p TS has been promoted, else the pre-native dispatcher
+  /// (TerraInterpBackend::run) in a fresh ExecEnv. Records lastCallTier
+  /// for an outermost activation and counts the call with the TierManager.
+  void enterTier0(TerraFunction *F, TierState *TS, void **Args, void *Ret);
 
   TerraContext &Ctx;
   lua::Interp &I;
-  BackendKind Backend;
-  TierPolicy Tier;
+  EngineSettings Settings;
   Typechecker TC;
   JITEngine JIT;
   /// Declared after JIT: destroyed first, joining the promotion worker
@@ -195,6 +219,7 @@ private:
   std::unique_ptr<BaselineJIT> Baseline;
   telemetry::Counter &MInlinedCalls;    ///< midend.inlined_calls
   telemetry::Counter &MBakedCalleeRefs; ///< codegen.baked_callee_refs
+  telemetry::Counter &MBackEdges;       ///< vm.backedges
   std::atomic<int> LastCallTier{-1};
   std::map<const void *, TerraFunction *> RawToFn;
 

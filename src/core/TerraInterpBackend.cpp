@@ -8,10 +8,10 @@
 #include "core/TerraVM.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 
 using namespace terracpp;
 
@@ -36,13 +36,14 @@ size_t PrimSizeOf(PrimType::PrimKind PK) {
 
 class TEval {
 public:
-  TEval(TerraContext &Ctx, TerraCompiler &Comp, telemetry::Counter &Calls)
-      : Ctx(Ctx), Comp(Comp), Calls(Calls) {}
+  TEval(TerraContext &Ctx, TerraCompiler &Comp, vm::ExecEnv &Env,
+        telemetry::Counter &Calls)
+      : Ctx(Ctx), Comp(Comp), Env(Env), Calls(Calls) {}
 
   TerraContext &Ctx;
   TerraCompiler &Comp;
+  vm::ExecEnv &Env;
   telemetry::Counter &Calls; ///< interp.tree_calls
-  bool Failed = false;
 
   struct Frame {
     std::map<const TerraSymbol *, std::unique_ptr<uint8_t[]>> Locals;
@@ -67,19 +68,19 @@ public:
   enum class Flow { Normal, Break, Return };
 
   bool fail(SourceLoc Loc, const std::string &Msg) {
-    if (!Failed)
+    if (!Env.Failed)
       Ctx.diags().error(Loc, "terra interpreter: " + Msg);
-    Failed = true;
+    Env.Failed = true;
     return false;
   }
 
+  /// Runs one activation of \p F; its calls leave through vm::call.
   bool runFunction(const TerraFunction *F, void **Args, void *Ret);
 
 private:
-  Frame *Cur = nullptr;
+  Frame Cur;
   void *RetSlot = nullptr;
   Type *RetTy = nullptr;
-  unsigned Depth = 0;
 
   bool evalExpr(const TerraExpr *E, void *Dst);
   bool evalAddr(const TerraExpr *E, void *&Addr);
@@ -93,9 +94,6 @@ private:
     return true;
   }
   bool callFunction(const TerraFunction *F, const ApplyExpr *A, void *Dst);
-  bool dispatchExtern(const TerraFunction *F, void **Args,
-                      const std::vector<Type *> &ArgTypes, void *Ret,
-                      SourceLoc Loc);
   bool binScalar(BinOpKind Op, PrimType::PrimKind PK, const void *L,
                  const void *R, void *Dst, Type *ResTy, SourceLoc Loc);
   bool castScalar(Type *From, Type *To, const void *Src, void *Dst,
@@ -111,22 +109,17 @@ private:
 };
 
 bool TEval::runFunction(const TerraFunction *F, void **Args, void *Ret) {
-  if (Depth > 400)
-    return fail(SourceLoc(), "terra call stack overflow in interpreter");
-  ++Depth;
+  // The budget every pre-native tier charges: recursion that alternates
+  // between tree-walked and compiled frames still runs into it.
+  vm::CallDepthScope Depth;
+  if (Depth.exceeded())
+    return vm::failStackOverflow(Env);
   Calls.inc();
-  Frame NewFrame;
-  Frame *SavedFrame = Cur;
-  void *SavedRet = RetSlot;
-  Type *SavedRetTy = RetTy;
-  size_t SavedTemps = TempPool.size();
-  Cur = &NewFrame;
   RetSlot = Ret;
   RetTy = F->FnTy->result();
-
   for (unsigned I = 0; I != F->NumParams; ++I) {
     Type *PT = F->Params[I]->DeclaredType;
-    void *Slot = NewFrame.slot(F->Params[I], PT->size());
+    void *Slot = Cur.slot(F->Params[I], PT->size());
     memcpy(Slot, Args[I], PT->size());
   }
   Flow Fl = Flow::Normal;
@@ -134,11 +127,6 @@ bool TEval::runFunction(const TerraFunction *F, void **Args, void *Ret) {
   if (OK && Fl != Flow::Return && !RetTy->isVoid())
     OK = fail(F->Body->loc(), "control reached end of non-void function '" +
                                   F->Name + "'");
-  Cur = SavedFrame;
-  RetSlot = SavedRet;
-  RetTy = SavedRetTy;
-  TempPool.resize(SavedTemps);
-  --Depth;
   return OK;
 }
 
@@ -165,7 +153,7 @@ bool TEval::execStmt(const TerraStmt *S, Flow &F) {
     const auto *D = cast<VarDeclStmt>(S);
     for (unsigned I = 0; I != D->NumNames; ++I) {
       Type *T = D->Names[I].Sym->DeclaredType;
-      void *Slot = Cur->slot(D->Names[I].Sym, T->size());
+      void *Slot = Cur.slot(D->Names[I].Sym, T->size());
       if (I < D->NumInits) {
         if (!evalExpr(D->Inits[I], Slot))
           return false;
@@ -245,7 +233,7 @@ bool TEval::execStmt(const TerraStmt *S, Flow &F) {
     }
     if (Step == 0)
       return fail(S->loc(), "'for' step is zero");
-    void *IVar = Cur->slot(Fo->Var.Sym, IT->size());
+    void *IVar = Cur.slot(Fo->Var.Sym, IT->size());
     for (int64_t I = Lo; Step > 0 ? I < Hi : I > Hi; I += Step) {
       storeFromInt(PK, IVar, I);
       Flow BF = Flow::Normal;
@@ -293,7 +281,7 @@ bool TEval::evalAddr(const TerraExpr *E, void *&Addr) {
   switch (E->kind()) {
   case TerraNode::NK_Var: {
     const auto *V = cast<VarExpr>(E);
-    Addr = Cur->slot(V->Sym, V->Sym->DeclaredType->size());
+    Addr = Cur.slot(V->Sym, V->Sym->DeclaredType->size());
     return true;
   }
   case TerraNode::NK_GlobalRef:
@@ -873,42 +861,15 @@ bool TEval::evalExpr(const TerraExpr *E, void *Dst) {
 bool TEval::callFunction(const TerraFunction *F, const ApplyExpr *A,
                          void *Dst) {
   std::vector<void *> ArgPtrs(A->NumArgs);
+  std::vector<Type *> ArgTypes(A->NumArgs);
   for (unsigned I = 0; I != A->NumArgs; ++I) {
-    ArgPtrs[I] = temp(A->Args[I]->Ty->size());
+    ArgTypes[I] = A->Args[I]->Ty;
+    ArgPtrs[I] = temp(ArgTypes[I]->size());
     if (!evalExpr(A->Args[I], ArgPtrs[I]))
       return false;
   }
-  if (F->IsExtern) {
-    std::vector<Type *> ArgTypes(A->NumArgs);
-    for (unsigned I = 0; I != A->NumArgs; ++I)
-      ArgTypes[I] = A->Args[I]->Ty;
-    return dispatchExtern(F, ArgPtrs.data(), ArgTypes, Dst, A->loc());
-  }
-  if (F->HostClosure)
-    return Comp.invokeHostClosure(F->HostClosureId, ArgPtrs.data(), Dst);
-  auto *MF = const_cast<TerraFunction *>(F);
-  if (!MF->Entry) {
-    // Lazily prepare functions reached through function-pointer values.
-    if (!Comp.ensureCompiled(MF))
-      return false;
-  }
-  if (MF->Body)
-    return runFunction(MF, ArgPtrs.data(), Dst);
-  MF->Entry(ArgPtrs.data(), Dst);
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Extern dispatch (libc registry)
-//===----------------------------------------------------------------------===//
-
-bool TEval::dispatchExtern(const TerraFunction *F, void **Args,
-                           const std::vector<Type *> &ArgTypes, void *Ret,
-                           SourceLoc Loc) {
-  std::string Err;
-  if (interpruntime::dispatchExtern(F, Args, ArgTypes, Ret, Err))
-    return true;
-  return fail(Loc, Err);
+  return vm::call(const_cast<TerraFunction *>(F), ArgPtrs.data(), ArgTypes,
+                  Dst, A->loc(), Env);
 }
 
 } // namespace
@@ -918,77 +879,47 @@ bool TEval::dispatchExtern(const TerraFunction *F, void **Args,
 //===----------------------------------------------------------------------===//
 
 TerraInterpBackend::TerraInterpBackend(TerraContext &Ctx,
-                                       TerraCompiler &Compiler)
-    : Ctx(Ctx), Compiler(Compiler),
+                                       TerraCompiler &Compiler, bool TreeOnly)
+    : Ctx(Ctx), Compiler(Compiler), TreeOnly(TreeOnly),
       MDispatchUs(Compiler.jit().metrics().histogram("vm.dispatch_us")),
-      MBackEdges(Compiler.jit().metrics().counter("vm.backedges")),
       MTreeCalls(Compiler.jit().metrics().counter("interp.tree_calls")) {
   const char *Reasons[] = {"vector", "indirect_call", "wide_call", "other"};
   for (int I = 0; I != 4; ++I)
     MBailouts[I] = &Compiler.jit().metrics().counter(
         std::string("bytecode.bailouts.") + Reasons[I]);
-  const char *E = std::getenv("TERRACPP_INTERP");
-  ForceTree = E && std::string(E) == "tree";
 }
 
-bool TerraInterpBackend::execute(const TerraFunction *F, void **Args,
-                                 void *Ret, uint64_t *BackEdges) {
-  if (BackEdges)
-    *BackEdges = 0;
-  // Host closures carry no Body; the engines below would have nothing to
-  // run. (Reached when a closure lands in a tiered component.)
-  if (F->HostClosure)
-    return Compiler.invokeHostClosure(F->HostClosureId, Args, Ret);
-  // Only an activation no guest frame encloses speaks for the host call;
-  // nested dispatches (a VM caller reaching a callee's Entry) must not
-  // overwrite the outer tier.
-  bool Outermost = vm::callDepth() == 0;
-  if (!ForceTree && F->Bytecode) {
-    // Tier 0.5: baseline machine code when available; same ExecEnv
-    // contract, same telemetry stream as the VM.
-    if (BaselineJIT *BJ = Compiler.baseline()) {
-      if (BaselineJIT::Fn Entry = BJ->entryFor(const_cast<TerraFunction *>(F))) {
-        if (Outermost)
-          Compiler.noteLastCallTier(2);
-        vm::ExecEnv Env(Ctx, Compiler);
-        // The emitted frame lives on the native stack: charge the shared
-        // depth budget before entering machine code.
-        vm::CallDepthScope DepthScope(BaselineJIT::depthUnits(F));
-        if (DepthScope.exceeded())
-          return vm::failStackOverflow(Env);
-        uint64_t Edges;
-        {
-          telemetry::ScopedTimerUs T(MDispatchUs);
-          Edges = Entry(Args, Ret, &Env);
-        }
-        Edges += Env.BackEdges;
-        if (Edges) {
-          MBackEdges.inc(Edges);
-          if (BackEdges)
-            *BackEdges = Edges;
-        }
-        return !Env.Failed;
-      }
-    }
-    if (Outermost)
-      Compiler.noteLastCallTier(0);
-    vm::ExecEnv Env(Ctx, Compiler);
-    bool OK;
-    {
-      telemetry::ScopedTimerUs T(MDispatchUs);
-      OK = vm::run(*F->Bytecode, Args, Ret, Env);
-    }
-    if (Env.BackEdges) {
-      MBackEdges.inc(Env.BackEdges);
-      if (BackEdges)
-        *BackEdges = Env.BackEdges;
-    }
-    return OK;
+int TerraInterpBackend::run(TerraFunction *F, void **Args, void *Ret,
+                            vm::ExecEnv &Env) {
+  // Host closures carry no Body; they reach here as tier-0 entries.
+  if (F->HostClosure) {
+    if (!Compiler.invokeHostClosure(F->HostClosureId, Args, Ret))
+      Env.Failed = true;
+    return 0;
   }
-  if (Outermost)
-    Compiler.noteLastCallTier(0);
-  TEval Eval(Ctx, Compiler, MTreeCalls);
-  return Eval.runFunction(F, Args, Ret);
+  // Tree-pinning comes first, so the oracle stays pure.
+  if (TreeOnly || !F->Bytecode) {
+    TEval(Ctx, Compiler, Env, MTreeCalls).runFunction(F, Args, Ret);
+    return 0;
+  }
+  // vm.dispatch_us times what the host waits for: outermost activations.
+  std::optional<telemetry::ScopedTimerUs> Time;
+  if (vm::callDepth() == 0)
+    Time.emplace(MDispatchUs);
+  if (BaselineJIT *BJ = Compiler.baseline()) {
+    if (BaselineJIT::Fn Entry = BJ->entryFor(F)) {
+      // The emitted frame lives on the native stack: charge the shared
+      // depth budget, weighted by its size, before entering machine code.
+      vm::CallDepthScope Depth(BaselineJIT::depthUnits(F));
+      if (Depth.exceeded())
+        vm::failStackOverflow(Env);
+      else
+        Env.BackEdges += Entry(Args, Ret, &Env);
+      return 2;
+    }
+  }
+  vm::run(*F->Bytecode, Args, Ret, Env);
+  return 0;
 }
 
 void TerraInterpBackend::compileBytecode(TerraFunction *F) {
@@ -998,13 +929,4 @@ void TerraInterpBackend::compileBytecode(TerraFunction *F) {
   F->Bytecode = bytecode::compile(Ctx, F, &Why);
   if (Why != bytecode::BailReason::None)
     MBailouts[static_cast<int>(Why) - 1]->inc();
-}
-
-bool TerraInterpBackend::prepare(TerraFunction *F) {
-  compileBytecode(F);
-  if (F->Entry)
-    return true;
-  TerraInterpBackend *Self = this;
-  F->Entry = [Self, F](void **Args, void *Ret) { Self->execute(F, Args, Ret); };
-  return true;
 }

@@ -1,23 +1,28 @@
-//===- TerraInterpBackend.h - Interpreted execution backend -----*- C++ -*-===//
+//===- TerraInterpBackend.h - Pre-native dispatch ---------------*- C++ -*-===//
 //
-// Execution engine that runs typechecked Terra functions with no C compiler
-// required. Since the tiered-execution work (DESIGN.md §10) it is a thin
-// driver over two engines:
+// The one dispatcher of the compiler-free tiers (DESIGN.md §10). Every
+// pre-native activation starts in run(): the entry thunk of a tier-0
+// function (TerraCompiler::enterTier0) and the call sites of the VM, of
+// baseline code and of the tree-walker (vm::call) all come here, and run()
+// picks the engine:
 //
-//  * the register-bytecode VM (TerraBytecode/TerraVM) — the tier-0 engine,
-//    used whenever a function compiles to bytecode; and
-//  * the original tree-walking evaluator (TEval, in the .cpp) — the
-//    reference implementation, kept as the fallback for the constructs the
-//    bytecode compiler does not cover (indirect calls, calls with more than
-//    32 arguments) and as the oracle for differential tests
-//    (TERRACPP_INTERP=tree, or setForceTree, pins every execution to it).
-//    interp.tree_calls counts its activations.
+//  * the tree-walking evaluator (TEval, in the .cpp) when the engine is
+//    pinned to it (EngineSettings::TreeOnly, the oracle of the
+//    differential tests) or the function has no bytecode (indirect calls,
+//    calls with more than 32 arguments); interp.tree_calls counts its
+//    activations;
+//  * else baseline machine code (TerraBaselineJIT) when the emitter took
+//    the function;
+//  * else the register-bytecode VM (TerraBytecode/TerraVM).
 //
-// Both engines implement the same separate-evaluation semantics as the
-// native backend (Terra code never touches the host store) and report the
-// same "terra interpreter: ..." diagnostics. Values of function type hold a
-// TerraFunction* (never a machine address), so interpreted code can call
-// externs, host wrappers, and other interpreted functions uniformly.
+// The choice is per activation, so a tree-walked caller's callees still run
+// on baseline code. All engines implement the native backend's
+// separate-evaluation semantics (Terra code never touches the host store),
+// report the same "terra interpreter: ..." diagnostics and charge one
+// per-thread depth budget (vm::CallDepthScope). Outside TierPolicy::Auto,
+// values of function type hold a TerraFunction* (never a machine address),
+// so interpreted code calls externs, host wrappers and other Terra
+// functions uniformly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,40 +38,32 @@ namespace terracpp {
 
 class TerraCompiler;
 
+namespace vm {
+struct ExecEnv;
+} // namespace vm
+
 class TerraInterpBackend {
 public:
-  TerraInterpBackend(TerraContext &Ctx, TerraCompiler &Compiler);
-
-  /// Compiles \p F to bytecode when possible and installs an interpretive
-  /// Entry thunk. Idempotent.
-  bool prepare(TerraFunction *F);
+  TerraInterpBackend(TerraContext &Ctx, TerraCompiler &Compiler,
+                     bool TreeOnly);
 
   /// Compiles \p F to bytecode unless it has some, counting a rejection in
   /// bytecode.bailouts.{vector,indirect_call,wide_call,other}.
   void compileBytecode(TerraFunction *F);
 
-  /// Runs \p F over FFI-convention arguments through the best available
-  /// interpreted engine: bytecode VM if \p F compiled to bytecode and the
-  /// tree-walker is not forced, tree-walker otherwise. When \p BackEdges is
-  /// non-null it receives the VM's loop back-edge count for this call (0
-  /// for tree-walked calls) — the tier dispatcher feeds it into promotion
-  /// heuristics. An outermost activation records its tier in
-  /// TerraCompiler::lastCallTier (2 on the baseline JIT, else 0). False
-  /// when execution aborted on a trap or error.
-  bool execute(const TerraFunction *F, void **Args, void *Ret,
-               uint64_t *BackEdges = nullptr);
-
-  /// Pins execution to the tree-walking evaluator (differential tests).
-  /// Initialized from TERRACPP_INTERP=tree.
-  void setForceTree(bool Force) { ForceTree = Force; }
-  bool forceTree() const { return ForceTree; }
+  /// Runs one activation of \p F over FFI-convention arguments on the
+  /// engine chosen above, inside \p Env (a callee shares its caller's).
+  /// Returns the tier it took as lastCallTier() numbers it: 2 for baseline
+  /// code, 0 for the VM and the tree-walker. Failure is reported through
+  /// Env.Failed. An outermost VM or baseline activation is timed in
+  /// vm.dispatch_us.
+  int run(TerraFunction *F, void **Args, void *Ret, vm::ExecEnv &Env);
 
 private:
   TerraContext &Ctx;
   TerraCompiler &Compiler;
-  bool ForceTree = false;
+  bool TreeOnly;
   telemetry::Histogram &MDispatchUs; ///< vm.dispatch_us (outermost calls).
-  telemetry::Counter &MBackEdges;    ///< vm.backedges.
   telemetry::Counter &MTreeCalls;    ///< interp.tree_calls (activations).
   telemetry::Counter *MBailouts[4];  ///< bytecode.bailouts.*, by BailReason.
 };

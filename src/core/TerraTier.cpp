@@ -4,28 +4,18 @@
 
 #include "core/TerraJIT.h"
 #include "support/ContentHash.h"
-#include "support/EnvParse.h"
 #include "support/Log.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace terracpp {
 
-TierPolicy tierPolicyFromEnv() {
-  const char *E = std::getenv("TERRACPP_JIT_TIER");
-  if (E && std::string(E) == "auto")
-    return TierPolicy::Auto;
-  return TierPolicy::Tier1;
-}
-
-TierManager::TierManager(JITEngine &JIT)
-    : JIT(JIT),
-      CallThreshold(envcfg::parseUInt("TERRACPP_TIER_CALL_THRESHOLD", 8)),
-      BackEdgeThreshold(
-          envcfg::parseUInt("TERRACPP_TIER_BACKEDGE_THRESHOLD", 4096)),
+TierManager::TierManager(JITEngine &JIT, uint64_t CallThreshold,
+                         uint64_t BackEdgeThreshold)
+    : JIT(JIT), CallThreshold(CallThreshold),
+      BackEdgeThreshold(BackEdgeThreshold),
       MPromotions(JIT.metrics().counter("tier.promotions")),
       MPromotionFailures(JIT.metrics().counter("tier.promotion_failures")),
       MTier0Calls(JIT.metrics().counter("tier.0.calls")),
@@ -86,25 +76,15 @@ TierManager::registerComponent(std::string CSource, bool Cacheable,
   return C;
 }
 
-void TierManager::noteTier0Call(TierState &TS) {
-  MTier0Calls.inc();
-  uint64_t Prev = TS.Calls.fetch_add(1, std::memory_order_relaxed);
-  if (Prev + 1 >= CallThreshold)
-    tryQueue(TS);
-}
-
-void TierManager::noteBaselineCall(TierState &TS) {
-  MBaselineCalls.inc();
-  uint64_t Prev = TS.Calls.fetch_add(1, std::memory_order_relaxed);
-  if (Prev + 1 >= CallThreshold)
-    tryQueue(TS);
-}
-
-void TierManager::noteBackEdges(TierState &TS, uint64_t N) {
-  if (!N)
-    return;
-  uint64_t Prev = TS.BackEdges.fetch_add(N, std::memory_order_relaxed);
-  if (Prev + N >= BackEdgeThreshold)
+void TierManager::noteCall(TierState &TS, int Tier, uint64_t BackEdges) {
+  (Tier == 2 ? MBaselineCalls : MTier0Calls).inc();
+  bool Hot = TS.Calls.fetch_add(1, std::memory_order_relaxed) + 1 >=
+             CallThreshold;
+  if (BackEdges)
+    Hot |= TS.BackEdges.fetch_add(BackEdges, std::memory_order_relaxed) +
+               BackEdges >=
+           BackEdgeThreshold;
+  if (Hot)
     tryQueue(TS);
 }
 

@@ -45,10 +45,6 @@ enum class TierPolicy {
   Auto,  ///< Start on the tier-0 VM, promote hot functions in background.
 };
 
-/// Resolves TERRACPP_JIT_TIER ("auto" => Auto; "1", unset, or anything else
-/// => Tier1). "0" selects the interp backend at Engine level, not a policy.
-TierPolicy tierPolicyFromEnv();
-
 /// Per-function tiered-execution state. Shared by the dispatcher Entry
 /// (reader, any thread), the VM (counter writer), and the promotion worker
 /// (entry writer).
@@ -98,7 +94,10 @@ struct PendingComponent {
 /// uses the JIT).
 class TierManager {
 public:
-  explicit TierManager(JITEngine &JIT);
+  /// A component is queued for promotion once one of its functions has
+  /// \p CallThreshold pre-native calls or \p BackEdgeThreshold back edges.
+  TierManager(JITEngine &JIT, uint64_t CallThreshold,
+              uint64_t BackEdgeThreshold);
   ~TierManager();
   TierManager(const TierManager &) = delete;
   TierManager &operator=(const TierManager &) = delete;
@@ -111,18 +110,12 @@ public:
   registerComponent(std::string CSource, bool Cacheable,
                     const std::vector<TerraFunction *> &Fns);
 
-  /// Counts one tier-0 dispatch; queues the component when the call
-  /// threshold is reached.
-  void noteTier0Call(TierState &TS);
-  /// Counts one baseline-JIT dispatch (tier 0.5); contributes to the same
-  /// call threshold as tier-0 calls so baseline-hot functions still promote
-  /// to cc-native code in the background.
-  void noteBaselineCall(TierState &TS);
+  /// Counts one pre-native call that ran on \p Tier (2 = baseline code,
+  /// 0 = VM or tree-walker) and executed \p BackEdges loop back edges;
+  /// queues the component when either threshold is reached.
+  void noteCall(TierState &TS, int Tier, uint64_t BackEdges);
   /// Counts one native dispatch (telemetry only).
   void noteTier1Call() { MTier1Calls.inc(); }
-  /// Accumulates VM back edges; queues the component when the back-edge
-  /// threshold is reached.
-  void noteBackEdges(TierState &TS, uint64_t N);
 
   /// Synchronously promotes \p C: runs the compile job inline when idle,
   /// otherwise waits for the in-flight background job. True on Done.

@@ -6,6 +6,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 using namespace terracpp;
 using namespace terracpp::lua;
@@ -25,6 +26,21 @@ public:
   /// undefined function). Such failures are not sticky: typechecking is
   /// monotonic (paper §4.1) and must succeed once the function is defined.
   bool FailedOnUndefined = false;
+  /// Symbols bound along the walk of Current (parameters, `var`, `for`;
+  /// escape-bound symbols arrive as these), counted per binding, and the
+  /// binding order that block exits unwind.
+  std::unordered_map<const TerraSymbol *, unsigned> InScope;
+  std::vector<const TerraSymbol *> Bound;
+
+  void bind(const TerraSymbol *S) {
+    ++InScope[S];
+    Bound.push_back(S);
+  }
+  void unbindTo(size_t Mark) {
+    for (; Bound.size() > Mark; Bound.pop_back())
+      if (--InScope[Bound.back()] == 0)
+        InScope.erase(Bound.back());
+  }
 
   bool fail(SourceLoc Loc, const std::string &Msg) {
     I.diags().error(Loc, Msg);
@@ -37,6 +53,11 @@ public:
   Type *checkExpr(TerraExpr *&E);
   bool checkStmt(TerraStmt *S);
   bool checkBlock(BlockStmt *B);
+  /// Checks the body of an `if` clause or a loop: the variables bound in it
+  /// (and the loop variable \p Var) go out of scope at its end. A plain
+  /// block is no scope: a spliced statement quote leaves its `var [sym]`
+  /// visible to later splices (paper Fig. 5), as the C backend emits it.
+  bool checkScope(BlockStmt *B, const TerraSymbol *Var = nullptr);
 
   /// Inserts an implicit conversion of \p E to \p To, or fails.
   bool convert(TerraExpr *&E, Type *To);
@@ -347,6 +368,16 @@ Type *CheckState::checkExpr(TerraExpr *&E) {
     auto *V = cast<VarExpr>(E);
     if (!V->Sym) {
       fail(E->loc(), "unspecialized variable in typechecking");
+      return nullptr;
+    }
+    // Well-scopedness: a quote that captured a variable must not be
+    // spliced outside the function and block that bind it.
+    if (Current && !InScope.count(V->Sym)) {
+      I.diags().error("TS001", E->loc(),
+                      "variable '" + *V->Sym->Name +
+                          "' is not bound in terra function '" +
+                          Current->Name +
+                          "' (a quote or symbol used outside its scope)");
       return nullptr;
     }
     if (!V->Sym->DeclaredType) {
@@ -830,6 +861,15 @@ bool CheckState::checkBlock(BlockStmt *B) {
   return true;
 }
 
+bool CheckState::checkScope(BlockStmt *B, const TerraSymbol *Var) {
+  size_t Mark = Bound.size();
+  if (Var)
+    bind(Var);
+  bool OK = checkBlock(B);
+  unbindTo(Mark);
+  return OK;
+}
+
 bool CheckState::checkStmt(TerraStmt *S) {
   switch (S->kind()) {
   case TerraNode::NK_Block:
@@ -860,6 +900,8 @@ bool CheckState::checkStmt(TerraStmt *S) {
         if (!completeStruct(ST, S->loc()))
           return false;
     }
+    for (unsigned I2 = 0; I2 != D->NumNames; ++I2)
+      bind(D->Names[I2].Sym);
     return true;
   }
   case TerraNode::NK_Assign: {
@@ -891,10 +933,10 @@ bool CheckState::checkStmt(TerraStmt *S) {
       if (!CT->isBool())
         return fail(I2->Conds[K]->loc(),
                     "'if' condition must be bool, got " + CT->str());
-      if (!checkBlock(I2->Blocks[K]))
+      if (!checkScope(I2->Blocks[K]))
         return false;
     }
-    return !I2->ElseBlock || checkBlock(I2->ElseBlock);
+    return !I2->ElseBlock || checkScope(I2->ElseBlock);
   }
   case TerraNode::NK_While: {
     auto *W = cast<WhileStmt>(S);
@@ -904,7 +946,7 @@ bool CheckState::checkStmt(TerraStmt *S) {
     if (!CT->isBool())
       return fail(W->Cond->loc(),
                   "'while' condition must be bool, got " + CT->str());
-    return checkBlock(W->Body);
+    return checkScope(W->Body);
   }
   case TerraNode::NK_ForNum: {
     auto *F = cast<ForNumStmt>(S);
@@ -931,7 +973,7 @@ bool CheckState::checkStmt(TerraStmt *S) {
       return false;
     if (F->Step && !convert(F->Step, IterT))
       return false;
-    return checkBlock(F->Body);
+    return checkScope(F->Body, F->Var.Sym);
   }
   case TerraNode::NK_Return: {
     auto *R = cast<ReturnStmt>(S);
@@ -988,6 +1030,13 @@ bool CheckState::checkFunction(TerraFunction *F) {
   F->State = TerraFunction::SK_Checking;
   TerraFunction *SavedCurrent = Current;
   Current = F;
+  // A callee checked on demand gets its own scope.
+  std::unordered_map<const TerraSymbol *, unsigned> SavedScope;
+  std::vector<const TerraSymbol *> SavedBound;
+  std::swap(SavedScope, InScope);
+  std::swap(SavedBound, Bound);
+  for (unsigned I2 = 0; I2 != F->NumParams; ++I2)
+    bind(F->Params[I2]);
 
   bool OK = true;
   // Validate and complete parameter types.
@@ -1035,6 +1084,8 @@ bool CheckState::checkFunction(TerraFunction *F) {
                 : (FailedOnUndefined ? TerraFunction::SK_Defined
                                      : TerraFunction::SK_Error);
   Current = SavedCurrent;
+  std::swap(SavedScope, InScope);
+  std::swap(SavedBound, Bound);
   return OK;
 }
 

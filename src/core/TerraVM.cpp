@@ -5,6 +5,7 @@
 #include "core/TerraAST.h"
 #include "core/TerraCompiler.h"
 #include "core/TerraExternDispatch.h"
+#include "core/TerraInterpBackend.h"
 #include "core/TerraType.h"
 
 #include <cstring>
@@ -296,13 +297,11 @@ void castLanes(PrimType::PrimKind To, PrimType::PrimKind From, unsigned N,
   }
 }
 
-bool runOne(const Function &F, void **Args, void *Ret, vm::ExecEnv &S);
-
 /// One out-of-line call. Stages argument pointers in FFI convention
 /// (scalars point at their canonical slot — the low bytes are the C layout
 /// of every scalar type on a little-endian host; aggregates pass their
-/// address), picks the fastest engine that can run the callee, and
-/// canonicalizes the scalar result back into the destination register.
+/// address), makes the call through vm::call, and canonicalizes the scalar
+/// result back into the destination register.
 bool doCall(const CallSite &CS, Slot *R, uint8_t *Frame, vm::ExecEnv &S) {
   void *ArgPtrs[MaxCallArgs];
   for (size_t I = 0, N = CS.Args.size(); I != N; ++I) {
@@ -311,43 +310,8 @@ bool doCall(const CallSite &CS, Slot *R, uint8_t *Frame, vm::ExecEnv &S) {
   }
   void *RetPtr = (CS.RetTy && !CS.RetTy->isVoid()) ? Frame + CS.RetFrameOff
                                                    : nullptr;
-  auto *Callee = const_cast<TerraFunction *>(CS.Callee);
-  if (Callee->IsExtern) {
-    std::string Err;
-    if (!interpruntime::dispatchExtern(Callee, ArgPtrs, CS.ArgTypes, RetPtr,
-                                       Err))
-      return fail(S, CS.Loc, Err);
-  } else if (Callee->HostClosure) {
-    if (!S.Comp.invokeHostClosure(Callee->HostClosureId, ArgPtrs, RetPtr)) {
-      // The tree-walker propagates host-closure failure without adding a
-      // diagnostic (the host side already reported); mirror that.
-      S.Failed = true;
-      return false;
-    }
-  } else if (Callee->Bytecode && !Callee->Tier) {
-    // Pure tier-0 callee: recurse directly, sharing the depth budget the
-    // way the tree-walker's runFunction recursion does.
-    if (!runOne(*Callee->Bytecode, ArgPtrs, RetPtr, S))
-      return false;
-  } else {
-    // Tiered functions go through their dispatcher Entry so call counting
-    // and native promotion see every call; functions reached through
-    // function-pointer values compile lazily first. Entry thunks signal
-    // failure through diagnostics, not a return value.
-    if (!Callee->Entry && !S.Comp.ensureCompiled(Callee)) {
-      S.Failed = true;
-      return false;
-    }
-    if (!Callee->Entry)
-      return fail(S, CS.Loc,
-                  "function '" + Callee->Name + "' has no entry point");
-    unsigned Before = S.Ctx.diags().errorCount();
-    Callee->Entry(ArgPtrs, RetPtr);
-    if (S.Ctx.diags().errorCount() != Before) {
-      S.Failed = true;
-      return false;
-    }
-  }
+  if (!vm::call(CS.Callee, ArgPtrs, CS.ArgTypes, RetPtr, CS.Loc, S))
+    return false;
   if (CS.DstReg != 0xFFFF && RetPtr)
     loadRet(R[CS.DstReg], CS.RetLoad, RetPtr);
   return true;
@@ -750,6 +714,35 @@ unsigned &callDepth() {
   return Depth;
 }
 
+bool call(TerraFunction *Callee, void **Args,
+          const std::vector<Type *> &ArgTypes, void *Ret, SourceLoc Loc,
+          ExecEnv &Env) {
+  if (Callee->IsExtern) {
+    std::string Err;
+    return interpruntime::dispatchExtern(Callee, Args, ArgTypes, Ret, Err) ||
+           fail(Env, Loc, Err);
+  }
+  // Functions reached through function-pointer values compile lazily.
+  if (!Callee->isCompiled() && !Env.Comp.ensureCompiled(Callee)) {
+    Env.Failed = true;
+    return false;
+  }
+  if (!Callee->Tier && !Callee->RawPtr) {
+    Env.Comp.interpBackend()->run(Callee, Args, Ret, Env);
+    return !Env.Failed;
+  }
+  // A tiered or native callee goes through its Entry, which counts the
+  // call and runs native code once it exists. Entry thunks signal failure
+  // through diagnostics, not a return value.
+  unsigned Before = Env.Ctx.diags().errorCount();
+  Callee->Entry(Args, Ret);
+  if (Env.Ctx.diags().errorCount() != Before) {
+    Env.Failed = true;
+    return false;
+  }
+  return true;
+}
+
 bool failStackOverflow(ExecEnv &Env) {
   return fail(Env, SourceLoc(), "terra call stack overflow in interpreter");
 }
@@ -822,11 +815,6 @@ bool execFnLit(TerraFunction *Fn, bytecode::Slot &Dst, ExecEnv &Env) {
     Dst.P = Fn;
   }
   return true;
-}
-
-void loadCallResult(bytecode::Slot &Dst, bytecode::RetKind K,
-                    const void *Src) {
-  loadRet(Dst, K, Src);
 }
 
 } // namespace vm

@@ -3,9 +3,14 @@
 // Executes bytecode::Function programs (TerraBytecode.h) with a
 // computed-goto dispatch loop. This is the tier-0 engine of the tiered
 // execution pipeline: it runs immediately after codegen with no C compiler
-// on the critical path, while profile counters (call counts here at the
-// dispatcher, back edges accumulated in ExecEnv) drive background promotion
-// to native code.
+// on the critical path, while profile counters (call counts at the entry
+// thunk, back edges accumulated in ExecEnv) drive background promotion to
+// native code.
+//
+// Calls leave an activation through vm::call, which the VM, baseline code
+// and the tree-walker share: externs go to the registry, tiered and native
+// callees to their Entry, and every other callee back into the pre-native
+// dispatcher (TerraInterpBackend::run), which picks the callee's engine.
 //
 // Semantics are the tree-walking evaluator's, bit for bit: same canonical
 // widening, same trap messages ("terra interpreter: ..." diagnostics), same
@@ -28,28 +33,27 @@ class TerraCompiler;
 
 namespace vm {
 
-/// Per-invocation execution context. One ExecEnv spans an outermost entry
-/// and all bytecode-to-bytecode recursion under it; calls that leave the VM
-/// (externs, host closures, Entry thunks) get fresh state on re-entry, as
-/// the tree-walker's nested TEval instances do. Call depth is deliberately
-/// NOT part of this state: it lives in a per-thread counter (callDepth())
-/// so recursion that crosses dispatcher-thunk boundaries — where each hop
-/// constructs a fresh ExecEnv — still runs into the depth limit instead of
-/// growing the native stack without bound.
+/// Per-invocation execution context. One ExecEnv spans an entry thunk's
+/// activation and every pre-native callee vm::call dispatches under it;
+/// calls through an Entry thunk (tiered callees) get fresh state. Call
+/// depth is deliberately NOT part of this state: it lives in a per-thread
+/// counter (callDepth()) so recursion that crosses entry thunks — where
+/// each hop constructs a fresh ExecEnv — still runs into the depth limit
+/// instead of growing the native stack without bound.
 struct ExecEnv {
   ExecEnv(TerraContext &Ctx, TerraCompiler &Comp) : Ctx(Ctx), Comp(Comp) {}
 
   TerraContext &Ctx;
   TerraCompiler &Comp;
-  /// Loop latch executions observed during this invocation; the caller
-  /// flushes them into the function's TierState / telemetry.
+  /// Loop latch executions observed during this invocation; the entry
+  /// thunk flushes them into the function's TierState / telemetry.
   uint64_t BackEdges = 0;
   /// Set once a trap or callee failure aborted execution (the diagnostic,
   /// if any, has already been reported).
   bool Failed = false;
 };
 
-/// Depth budget shared by the interpreter tiers (VM and baseline JIT).
+/// Depth budget shared by the pre-native tiers (tree-walker, VM, baseline).
 /// Ordinary activations cost one unit; baseline activations whose emitted
 /// frame lives on the native stack are charged proportionally to its size
 /// (BaselineJIT::depthUnits) so a full budget always fits a default-sized
@@ -87,6 +91,14 @@ bool failStackOverflow(ExecEnv &Env);
 /// interpreter: ..." diagnostic reported).
 bool run(const bytecode::Function &F, void **Args, void *Ret, ExecEnv &Env);
 
+/// Calls \p Callee at a call site of a running pre-native activation in
+/// \p Env. \p ArgTypes are the static argument types (extern dispatch);
+/// \p Loc locates a failing extern. False when the call failed (Env.Failed
+/// set).
+bool call(TerraFunction *Callee, void **Args,
+          const std::vector<Type *> &ArgTypes, void *Ret, SourceLoc Loc,
+          ExecEnv &Env);
+
 // Out-of-line services for the baseline JIT (TerraBaselineJIT.cpp). The
 // emitted machine code calls these for everything that is not straight-line
 // arithmetic, so call dispatch, trap messages, and function-literal
@@ -112,10 +124,6 @@ bool execFnLit(TerraFunction *Fn, bytecode::Slot &Dst, ExecEnv &Env);
 /// path, so both tiers compute every lane identically.
 bool execLaneOp(bytecode::Op O, int64_t Imm, void *Dst, bytecode::Slot B,
                 bytecode::Slot C);
-
-/// Canonicalizes a staged call result into a register slot (VM loadRet).
-void loadCallResult(bytecode::Slot &Dst, bytecode::RetKind K,
-                    const void *Src);
 
 } // namespace vm
 } // namespace terracpp

@@ -72,3 +72,18 @@ bool envcfg::parseBool(const char *Name, bool Default) {
   warnOnce(Name, E, "not a boolean; using default");
   return Default;
 }
+
+int envcfg::parseChoice(const char *Name,
+                        std::initializer_list<const char *> Choices) {
+  const char *E = std::getenv(Name);
+  if (!E || !*E)
+    return -1;
+  int I = 0;
+  for (const char *C : Choices) {
+    if (std::strcmp(E, C) == 0)
+      return I;
+    ++I;
+  }
+  warnOnce(Name, E, "not a recognized value; using default");
+  return -1;
+}

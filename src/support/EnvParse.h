@@ -13,6 +13,7 @@
 #define TERRACPP_SUPPORT_ENVPARSE_H
 
 #include <cstdint>
+#include <initializer_list>
 
 namespace terracpp {
 namespace envcfg {
@@ -27,6 +28,11 @@ uint64_t parseUInt(const char *Name, uint64_t Default, uint64_t Min = 0,
 /// "no" are false (case-insensitive). Unset returns \p Default; anything
 /// else returns \p Default with a one-time warning.
 bool parseBool(const char *Name, bool Default);
+
+/// Reads a knob that names one of \p Choices (exact match) and returns the
+/// index of the match. Unset or empty returns -1; any other value returns -1
+/// with a one-time warning.
+int parseChoice(const char *Name, std::initializer_list<const char *> Choices);
 
 } // namespace envcfg
 } // namespace terracpp

@@ -181,9 +181,12 @@ TEST_P(BackendDiffTest, SameResult) {
       Engine::defaultBackend() != BackendKind::Native)
     GTEST_SKIP();
   const Program &P = Corpus[Idx];
-  std::optional<ScopedEnv> Force;
-  if (Mode != Exec::Native)
-    Force.emplace("TERRACPP_INTERP", Mode == Exec::Tree ? "tree" : "vm");
+  // The VM runs with the baseline JIT off.
+  std::optional<ScopedEnv> Force, NoBase;
+  if (Mode != Exec::Native) {
+    Force.emplace("TERRACPP_INTERP", Mode == Exec::Tree ? "tree" : "");
+    NoBase.emplace("TERRACPP_JIT_BASELINE", "0");
+  }
   Engine E(Mode == Exec::Native ? BackendKind::Native : BackendKind::Interp);
   ASSERT_TRUE(E.run(P.Src, P.Name)) << E.errors();
   std::vector<Value> Results;

@@ -303,9 +303,9 @@ TEST(Baseline, DeepRecursionOverflowsGracefully) {
   if (!BaselineJIT::supported())
     GTEST_SKIP();
   // Unbounded guest recursion stays on the native stack in baseline code
-  // (the baseline-to-baseline fast path never returns to the VM), so the
-  // shared depth budget must stop it with the interpreter's diagnostic —
-  // not a host-process SIGSEGV.
+  // (the dispatcher runs each recursive call on baseline code again), so
+  // the shared depth budget must stop it with the interpreter's diagnostic
+  // — not a host-process SIGSEGV.
   ScopedUnsetEnv NoForce("TERRACPP_INTERP");
   ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
   ScopedEnv On("TERRACPP_JIT_BASELINE", "1");
@@ -629,7 +629,7 @@ TEST(EnvParse, BaselineKnobSurvivesGarbage) {
   ScopedUnsetEnv NoForce("TERRACPP_INTERP");
   ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
   ScopedEnv Bad("TERRACPP_JIT_BASELINE", "bananas");
-  EXPECT_TRUE(BaselineJIT::enabledFromEnv());
+  EXPECT_TRUE(Engine::resolveSettings().Baseline);
   Engine E(BackendKind::Interp);
   ASSERT_TRUE(E.run("terra f(n: int): int return n * 2 end")) << E.errors();
   EXPECT_EQ(callF(E, 21), 42);

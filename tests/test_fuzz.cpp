@@ -148,7 +148,7 @@ struct EngineConfig {
 const EngineConfig Engines[] = {
     {"native", BackendKind::Native, nullptr, false},
     {"baseline", BackendKind::Interp, nullptr, true},
-    {"vm", BackendKind::Interp, "vm", false},
+    {"vm", BackendKind::Interp, nullptr, false},
     {"tree", BackendKind::Interp, "tree", false},
 };
 constexpr int NumEngines = static_cast<int>(std::size(Engines));

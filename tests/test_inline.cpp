@@ -61,9 +61,7 @@ class TierScope {
 public:
   explicit TierScope(Tier T)
       : NoTier("TERRACPP_JIT_TIER"), NoBackend("TERRACPP_BACKEND"),
-        Interp("TERRACPP_INTERP", T == Tier::VM     ? "vm"
-                                  : T == Tier::Tree ? "tree"
-                                                    : ""),
+        Interp("TERRACPP_INTERP", T == Tier::Tree ? "tree" : ""),
         Baseline("TERRACPP_JIT_BASELINE", T == Tier::Baseline ? "1" : "0") {
     if (T == Tier::Native)
       Skip = Engine::defaultBackend() != BackendKind::Native

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ScopedEnv.h"
 #include "core/Engine.h"
 #include "core/TerraType.h"
 
@@ -96,6 +97,69 @@ TEST(Semantics, SymbolDeliberatelyViolatesHygiene) {
            "  return [use]\n"
            "end");
   EXPECT_EQ(callD(E, "f", {}), 20);
+}
+
+// Well-scopedness: a variable a quote captured, or a symbol no binder
+// introduced, must not reach a function that does not bind it (no scope
+// extrusion). Every tier reports the same located typechecker error, and the
+// engine keeps serving.
+void expectScopeError(const std::string &Src, const std::string &Where) {
+  for (const char *Tier : {"native", "baseline", "vm", "tree"}) {
+    bool Native = std::string(Tier) == "native";
+    ScopedUnsetEnv NoTier("TERRACPP_JIT_TIER");
+    ScopedEnv Tree("TERRACPP_INTERP",
+                   std::string(Tier) == "tree" ? "tree" : "");
+    ScopedEnv Base("TERRACPP_JIT_BASELINE",
+                   std::string(Tier) == "baseline" ? "1" : "0");
+    if (Native && Engine::defaultBackend() != BackendKind::Native)
+      continue;
+    Engine E(Native ? BackendKind::Native : BackendKind::Interp);
+    EXPECT_FALSE(
+        E.run("terra ok(n: int): int return n + 1 end " + Src, "scope.t"))
+        << Tier;
+    std::string Errs = E.errors();
+    EXPECT_NE(Errs.find(Where + ": error: variable"), std::string::npos)
+        << Tier << ": " << Errs;
+    EXPECT_NE(Errs.find("[TS001]"), std::string::npos) << Tier << ": " << Errs;
+    EXPECT_EQ(callD(E, "ok", {41}), 42) << Tier;
+  }
+}
+
+TEST(Semantics, QuoteSplicedIntoAnotherFunctionIsRejected) {
+  expectScopeError("local q\n"
+                   "local function grab(e) q = e return e end\n"
+                   "terra f(x: int): int\n"
+                   "  return [grab(`x)]\n"
+                   "end\n"
+                   "f(1)\n"
+                   "terra g(): int return [q] end\n"
+                   "g()",
+                   "scope.t:4:17");
+}
+
+TEST(Semantics, UnboundSymbolIsRejected) {
+  expectScopeError("local s = symbol(int)\n"
+                   "terra h(): int\n"
+                   "  return [s] + 1\n"
+                   "end\n"
+                   "h()",
+                   "scope.t:3:10");
+}
+
+TEST(Semantics, LoopVariableDoesNotOutliveItsLoop) {
+  // A loop body is a scope (the C backend gives it braces); a plain block,
+  // such as a spliced statement quote, is not.
+  Engine E;
+  EXPECT_FALSE(E.run("local q\n"
+                     "terra f(n: int): int\n"
+                     "  for i = 0, n do\n"
+                     "    [(function() q = `i return quote end end)()]\n"
+                     "  end\n"
+                     "  return [q]\n"
+                     "end\n"
+                     "f(2)",
+                     "loop.t"));
+  EXPECT_NE(E.errors().find("[TS001]"), std::string::npos) << E.errors();
 }
 
 //===----------------------------------------------------------------------===//

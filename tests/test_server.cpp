@@ -150,6 +150,30 @@ TEST(Terrad, CompileErrorCarriesDiagnosticsAndServerSurvives) {
   EXPECT_TRUE(Call.OK) << Call.Error;
 }
 
+TEST(Terrad, ScopeExtrusionIsACompileError) {
+  ServerFixture F;
+  ASSERT_TRUE(F.StartOK) << F.StartErr;
+  Client C = F.client();
+  // A quote that captured f's parameter, spliced into g.
+  Client::CompileResult Bad =
+      C.compile("local q\n"
+                "local function grab(e) q = e return e end\n"
+                "terra f(x: int): int return [grab(`x)] end\n"
+                "terra g(): int return [q] end\n");
+  EXPECT_FALSE(Bad.OK);
+  EXPECT_NE(Bad.Diagnostics.find("[TS001]"), std::string::npos)
+      << Bad.Error << "\n"
+      << Bad.Diagnostics;
+  EXPECT_NE(Bad.Diagnostics.find(":3:"), std::string::npos)
+      << Bad.Diagnostics;
+
+  Client::CompileResult Good = C.compile(AddScript);
+  ASSERT_TRUE(Good.OK) << Good.Error;
+  Client::CallResult Call =
+      C.call(Good.Handle, "add", {Value::number(1), Value::number(1)});
+  EXPECT_TRUE(Call.OK) << Call.Error;
+}
+
 TEST(Terrad, CallErrors) {
   ServerFixture F;
   ASSERT_TRUE(F.StartOK) << F.StartErr;
@@ -704,7 +728,8 @@ TEST(Terrad, TreeWalkerFallbackCountersExported) {
   EXPECT_EQ(Ind.Result.asNumber(), 5.0);
 
   // The per-engine snapshot: the vector function stayed on bytecode; the
-  // indirect call was rejected and tree-walked (ind, then add1 under it).
+  // indirect call was rejected and tree-walked (ind only: add1 under it has
+  // bytecode and runs on it).
   Value M = C.metrics();
   ASSERT_FALSE(M.isNull()) << C.error();
   const Value *Engines = M.get("engines");
@@ -715,7 +740,7 @@ TEST(Terrad, TreeWalkerFallbackCountersExported) {
   ASSERT_TRUE(Counters && Counters->isObject());
   EXPECT_EQ(Counters->getNumber("bytecode.bailouts.vector", -1), 0.0);
   EXPECT_EQ(Counters->getNumber("bytecode.bailouts.indirect_call", -1), 1.0);
-  EXPECT_EQ(Counters->getNumber("interp.tree_calls", -1), 2.0);
+  EXPECT_EQ(Counters->getNumber("interp.tree_calls", -1), 1.0);
 
   Value Req = Value::object();
   Req.set("op", Value::string("metrics_text"));

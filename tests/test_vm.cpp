@@ -46,7 +46,7 @@ TEST(VM, CompilesLoopHeavyKernelToBytecode) {
   TerraFunction *F = E.terraFunction("f");
   ASSERT_NE(F, nullptr);
   // The call above must have gone through the bytecode engine: the program
-  // is fully eligible, so prepare() compiles it rather than tree-walking.
+  // is fully eligible, so the tier-0 install compiles it to bytecode.
   ASSERT_NE(F->Bytecode, nullptr);
   EXPECT_GT(F->Bytecode->Code.size(), 0u);
   EXPECT_GT(F->Bytecode->NumRegs, 0u);
@@ -142,7 +142,8 @@ TEST(VM, IndirectCallFallsBackToTreeWalker) {
 TEST(VM, TrapsMatchTreeWalker) {
   // Division by zero must produce a diagnostic, not UB, on both engines.
   for (bool Tree : {false, true}) {
-    ScopedEnv Force("TERRACPP_INTERP", Tree ? "tree" : "vm");
+    ScopedEnv Force("TERRACPP_INTERP", Tree ? "tree" : "");
+    ScopedEnv NoBase("TERRACPP_JIT_BASELINE", "0");
     Engine E(BackendKind::Interp);
     ASSERT_TRUE(E.run("terra f(n: int): int return 10 / n end"))
         << E.errors();
@@ -332,7 +333,8 @@ TEST_P(VMParityTest, MatchesTreeWalker) {
   const Program &P = Parity[GetParam()];
   double Got[2];
   for (int Tree = 0; Tree != 2; ++Tree) {
-    ScopedEnv Force("TERRACPP_INTERP", Tree ? "tree" : "vm");
+    ScopedEnv Force("TERRACPP_INTERP", Tree ? "tree" : "");
+    ScopedEnv NoBase("TERRACPP_JIT_BASELINE", "0");
     Engine E(BackendKind::Interp);
     ASSERT_TRUE(E.run(P.Src, P.Name)) << E.errors();
     Got[Tree] = callF(E, P.Arg);

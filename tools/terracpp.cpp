@@ -49,11 +49,16 @@ void usage() {
   fprintf(stderr,
           "usage: terracpp [options] [script.t]\n"
           "  -e CHUNK           run CHUNK\n"
-          "  --backend=interp   use the tree-walking Terra evaluator\n"
+          "  --backend=interp   run without a C compiler: baseline JIT, then\n"
+          "                     the bytecode VM, then the tree-walker for\n"
+          "                     what bytecode cannot express\n"
+          "  --backend=native   compile with cc (default when cc exists)\n"
           "  --tier={0,1,auto}  execution tier: 0 = bytecode VM only, 1 =\n"
           "                     native only (default), auto = start on the\n"
-          "                     VM and promote hot functions to native in\n"
-          "                     the background (TERRACPP_JIT_TIER)\n"
+          "                     baseline JIT and promote hot functions to\n"
+          "                     native in the background\n"
+          "                     (TERRACPP_JIT_TIER); --backend=interp\n"
+          "                     goes with tier 0 only\n"
           "  --dump-fn NAME     pretty-print terra function NAME\n"
           "  --emit-c NAME      print generated C for NAME\n"
           "  --analyze          run the terracheck lints (TA001..TA008) over\n"
@@ -295,7 +300,7 @@ bool writeProfile(Engine &E, const std::string &Path) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BackendKind Backend = Engine::defaultBackend();
+  EngineOverrides Overrides;
   std::vector<std::string> Chunks;
   std::string ScriptPath;
   std::string DumpFn, EmitC;
@@ -316,19 +321,11 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--time-report") {
       TimeReport = true;
     } else if (Arg == "--backend=interp") {
-      Backend = BackendKind::Interp;
+      Overrides.Backend = BackendKind::Interp;
     } else if (Arg == "--backend=native") {
-      Backend = BackendKind::Native;
+      Overrides.Backend = BackendKind::Native;
     } else if (Arg.rfind("--tier=", 0) == 0) {
-      std::string Tier = Arg.substr(strlen("--tier="));
-      if (Tier != "0" && Tier != "1" && Tier != "auto") {
-        fprintf(stderr, "terracpp: --tier must be 0, 1, or auto\n");
-        return 2;
-      }
-      // The Engine reads the tier at construction from the environment
-      // (shared with TERRACPP_JIT_TIER); the flag simply sets it first.
-      setenv("TERRACPP_JIT_TIER", Tier.c_str(), 1);
-      Backend = Engine::defaultBackend();
+      Overrides.Tier = Arg.substr(strlen("--tier="));
     } else if (Arg == "--analyze") {
       Analyze = true;
     } else if (Arg == "--analyze-werror") {
@@ -362,6 +359,12 @@ int main(int Argc, char **Argv) {
       ScriptPath = Arg;
     }
   }
+  std::string SettingsErr;
+  EngineSettings Settings = Engine::resolveSettings(Overrides, &SettingsErr);
+  if (!SettingsErr.empty()) {
+    fprintf(stderr, "terracpp: %s\n", SettingsErr.c_str());
+    return 2;
+  }
   if (!ConnectSocket.empty())
     return runRemote(ConnectSocket, ScriptPath, Chunks, RemoteHandle, CallSpec,
                      RemoteStats, RemoteShutdown);
@@ -378,7 +381,7 @@ int main(int Argc, char **Argv) {
   trace::Recorder::global().setProcessName("terracpp");
   TraceFlusher FlushOnExit;
 
-  Engine E(Backend);
+  Engine E(Settings);
   E.compiler().setAnalyzeWerror(AnalyzeWerror);
   orion::installHostedOrion(E); // DSL-in-host demo library (paper §6.2/§8).
   for (const std::string &C : Chunks)
